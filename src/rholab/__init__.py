@@ -44,12 +44,9 @@ from .inverse_lo import (
     ConstantsProfile,
     ContainerCertificate,
     build_container,
-    sample_U,
-    sample_Y,
     verify_certificate,
 )
 from .matrix_lab import (
-    SymMatrix,
     adjugate_rank1_check,
     block_probability_exact,
     decoupling_identity_check,
@@ -62,14 +59,12 @@ from .matrix_lab import (
     rank_mod_p,
     sample_symmetric,
     singularity_exact,
-    singularity_mc,
     singularity_mc_sharded,
 )
-from .rng import StreamFactory, substream
+from .rng import substream
 from .zp_core import (
     PrimeModulus,
     ZpVector,
-    canonical_product,
     next_prime,
     term_weight,
     zp_vector,

@@ -21,8 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import GuardExceeded, PreconditionViolated, RangeTooLarge
-from .zp_core import PrimeModulus, ZpVector, weight_table
+from .zp_core import PrimeModulus, ZpVector, level_mask, weight_table
 
 # Absolute slack granted to float-valued bounds when checked against exact rho.
 FLOAT_SLACK = 1e-12
@@ -176,22 +178,9 @@ def rho_half(v: ZpVector, p: PrimeModulus) -> RhoResult:
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction(t) -> Fraction:
-    # float thresholds are frozen to their exact binary rational
-    return Fraction(t)
-
-
 def level_counts(v: ZpVector, p: PrimeModulus) -> list[int]:
     """Exact integer weights W(k) = p^2 * Sum_i ||k v_i / p||^2 for all k."""
     return [int(x) for x in weight_table(v, p)]
-
-
-def level_size(v: ZpVector, t, p: PrimeModulus) -> int:
-    """|T_t(v)| via exact membership N(k) <= t p^2."""
-    tf = _as_fraction(t)
-    bound_num = tf.numerator * p.p * p.p
-    den = tf.denominator
-    return sum(1 for w in level_counts(v, p) if w * den <= bound_num)
 
 
 def halasz_first_bound(v: ZpVector, p: PrimeModulus) -> float:
@@ -204,29 +193,28 @@ def halasz_second_bound(v: ZpVector, ell, p: PrimeModulus) -> float:
     """1/p + (e/p) Sum_{t=1}^{ceil(ell)} e^-t |T_t(v)| + e^-ell, for v != 0."""
     if v.support_size == 0:
         raise PreconditionViolated("second bound needs v != 0 (T_0 = {0})")
-    ellf = _as_fraction(ell)
+    ellf = Fraction(ell)
     if ellf < 1:
         raise PreconditionViolated("ell must be >= 1")
-    weights = level_counts(v, p)
-    top = math.ceil(ellf)
-    pp = p.p * p.p
+    weights = np.asarray(level_counts(v, p))
     total = 1.0 / p.p
-    for t in range(1, top + 1):
-        size_t = sum(1 for w in weights if w <= t * pp)
+    for t in range(1, math.ceil(ellf) + 1):
+        size_t = int(level_mask(weights, t, p).sum())
         total += math.e / p.p * math.exp(-t) * size_t
     return total + math.exp(-float(ellf))
 
 
 def halasz_bound(v: ZpVector, ell, p: PrimeModulus) -> float:
     """3/p + 4 |T_ell(v)| / (p sqrt(ell)) + e^-ell, for 1 <= ell <= |v|/64."""
-    ellf = _as_fraction(ell)
+    # float thresholds are frozen to their exact binary rational
+    ellf = Fraction(ell)
     if v.support_size == 0:
         raise PreconditionViolated("bound needs v != 0")
     if not (1 <= ellf and 64 * ellf <= v.support_size):
         raise PreconditionViolated(
             f"need 1 <= ell <= |v|/64, got ell={ellf}, |v|={v.support_size}"
         )
-    size_ell = level_size(v, ellf, p)
+    size_ell = int(level_mask(level_counts(v, p), ellf, p).sum())
     le = float(ellf)
     return 3.0 / p.p + 4.0 * size_ell / (p.p * math.sqrt(le)) + math.exp(-le)
 
@@ -252,15 +240,10 @@ def sumset_level_check(v: ZpVector, m: int, t, p: PrimeModulus) -> bool:
         raise GuardExceeded(f"sumset scan limited to p <= {_SUMSET_P_GUARD}")
     if m < 1:
         raise PreconditionViolated("m must be >= 1")
-    tf = _as_fraction(t)
+    tf = Fraction(t)
     weights = level_counts(v, p)
-    pp = p.p * p.p
-    tt = {k for k, w in enumerate(weights) if w * tf.denominator <= tf.numerator * pp}
-    big = {
-        k
-        for k, w in enumerate(weights)
-        if w * tf.denominator <= m * m * tf.numerator * pp
-    }
+    tt = set(np.flatnonzero(level_mask(weights, tf, p)).tolist())
+    big = set(np.flatnonzero(level_mask(weights, m * m * tf, p)).tolist())
     return _fold_sumset(tt, m, p) <= big
 
 

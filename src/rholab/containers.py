@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GuardExceeded, PreconditionViolated
-from .zp_core import PrimeModulus, ZpVector, weight_table
+from .zp_core import PrimeModulus, ZpVector, level_mask, weight_table
 
 _GAP_ENUM_GUARD = 10**6
 
@@ -69,12 +69,7 @@ def level_set(v: ZpVector, t, p: PrimeModulus) -> LevelSetQuery:
     tf = Fraction(t)
     if tf < 0:
         raise PreconditionViolated("threshold must be >= 0")
-    weights = weight_table(v, p)
-    bound = tf.numerator * p.p * p.p
-    den = tf.denominator
-    members = frozenset(
-        k for k in range(p.p) if int(weights[k]) * den <= bound
-    )
+    members = frozenset(np.flatnonzero(level_mask(weight_table(v, p), tf, p)).tolist())
     return LevelSetQuery(v, tf, members)
 
 
@@ -92,8 +87,7 @@ def container(s, p: PrimeModulus) -> ContainerSet:
     aks = np.arange(p.p, dtype=np.int64)[:, None] * sarr[None, :] % p.p
     w = np.minimum(aks, p.p - aks)
     sums = (w * w).sum(axis=1)
-    bound = len(s) * p.p * p.p
-    members = frozenset(a for a in range(p.p) if 32 * int(sums[a]) <= bound)
+    members = frozenset(np.flatnonzero(level_mask(sums, Fraction(len(s), 32), p)).tolist())
     return ContainerSet(s, members)
 
 

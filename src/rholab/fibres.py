@@ -27,7 +27,8 @@ import numpy as np
 
 from .containers import ContainerSet, container
 from .errors import PreconditionViolated, RetryExhausted
-from .inverse_lo import ConstantsProfile, build_container, canonical_json
+from .harness import canonical_json
+from .inverse_lo import ConstantsProfile, build_container
 from .zp_core import PrimeModulus, ZpVector
 
 

@@ -17,10 +17,10 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import EntryRangeError, VectorParseError
-from .inverse_lo import canonical_json
 from .zp_core import PrimeModulus, ZpVector, is_prime_u64
 
 
@@ -71,6 +71,29 @@ def write_csv(path, header: list[str], rows: list[list]) -> str:
     if path is not None:
         Path(path).write_text(text)
     return text
+
+
+def _canonize(obj):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, float):
+        return repr(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_canonize(x) for x in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [_canonize(x) for x in sorted(obj)]
+    if isinstance(obj, dict):
+        return {str(k): _canonize(v) for k, v in obj.items()}
+    return obj
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, ints as decimal strings, no spaces."""
+    return json.dumps(_canonize(obj), sort_keys=True, separators=(",", ":"))
 
 
 def write_json(path, doc) -> str:

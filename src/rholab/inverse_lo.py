@@ -19,7 +19,6 @@ arithmetic before being returned: zero trust in the construction path.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,7 @@ import numpy as np
 from .anticoncentration import RhoResult, rho
 from .containers import ContainerSet, container, frequency_set, level_set
 from .errors import PreconditionViolated, RetryExhausted
+from .harness import canonical_json
 from .zp_core import PrimeModulus, ZpVector
 
 
@@ -178,10 +178,6 @@ def sample_Y_with_attempts(
     )
 
 
-def sample_Y(v, p, profile, rng) -> frozenset[int]:
-    return sample_Y_with_attempts(v, p, profile, rng)[0]
-
-
 def sample_U_with_attempts(
     v: ZpVector,
     p: PrimeModulus,
@@ -207,10 +203,6 @@ def sample_U_with_attempts(
     raise RetryExhausted(
         f"U sampler exhausted {profile.max_attempts} attempts (profile {profile.name})"
     )
-
-
-def sample_U(v, p, profile, rng) -> frozenset[int]:
-    return sample_U_with_attempts(v, p, profile, rng)[0]
 
 
 def _size_bound_holds(
@@ -247,8 +239,8 @@ def build_container(
         )
     last = None
     for _ in range(profile.max_attempts):
-        y = sample_Y(v, p, profile, rng)
-        u = sample_U(v, p, profile, rng)
+        y = sample_Y_with_attempts(v, p, profile, rng)[0]
+        u = sample_U_with_attempts(v, p, profile, rng)[0]
         b = container(frequency_set(v.restrict(u), p), p)
         rho_vy = rho(v.restrict(y), p)
         outside = sum(1 for e in v.entries if e not in b.members)
@@ -341,34 +333,6 @@ def verify_certificate(
     if checked != cert.measured:
         failures.append("measured quantities do not match recomputation")
     return not failures, failures
-
-
-# ---------------------------------------------------------------------------
-# Canonical serialization: sorted keys, integers as decimal strings.
-# ---------------------------------------------------------------------------
-
-
-def _canonize(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_canonize(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return [_canonize(x) for x in sorted(obj)]
-    if isinstance(obj, dict):
-        return {str(k): _canonize(v) for k, v in obj.items()}
-    return obj
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, ints as decimal strings, no spaces."""
-    return json.dumps(_canonize(obj), sort_keys=True, separators=(",", ":"))
 
 
 def certificate_to_doc(cert: ContainerCertificate) -> dict:

@@ -41,40 +41,12 @@ _Q_ENUM_GUARD = 10**8
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric n x n sign matrix, packed as the row-major upper triangle."""
-
-    n: int
-    upper: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.upper) != self.n * (self.n + 1) // 2:
-            raise PreconditionViolated("packed length must be n(n+1)/2")
-        if any(e not in (-1, 1) for e in self.upper):
-            raise PreconditionViolated("entries must be +-1")
-
-    def to_array(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=np.int64)
-        iu = np.triu_indices(self.n)
-        m[iu] = self.upper
-        m = m + m.T
-        m[np.arange(self.n), np.arange(self.n)] //= 2
-        return m
-
-    def entry(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        # offset of row i in the packed upper triangle
-        off = i * self.n - i * (i - 1) // 2
-        return self.upper[off + (j - i)]
-
-
-def sample_symmetric(n: int, rng: np.random.Generator) -> SymMatrix:
+def sample_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric n x n sign matrix from one draw of its n(n+1)/2 upper entries."""
     if n < 1:
         raise PreconditionViolated("n must be >= 1")
-    bits = rng.integers(0, 2, size=n * (n + 1) // 2, dtype=np.int64) * 2 - 1
-    return SymMatrix(n, tuple(int(b) for b in bits))
+    bits = rng.integers(0, 2, size=(1, n * (n + 1) // 2), dtype=np.int64)
+    return _bits_to_sym(bits, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -104,37 +76,54 @@ def det_bareiss(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_mod(mat, p: int) -> int:
-    a = [[int(x) % p for x in row] for row in np.asarray(mat)]
-    n = len(a)
+def _rref(a: list[list[int]], p: int) -> tuple[list[int], int]:
+    """Reduce the rows of `a` (residues mod p) to RREF over F_p, in place.
+
+    Returns the pivot columns and det_factor, the product of the pivots
+    times -1 per row swap (mod p): the determinant of a square full-rank a.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
     det = 1
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if a[r][k]:
-                piv = r
-                break
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det % p
-        det = det * a[k][k] % p
-        inv = pow(a[k][k], p - 2, p)
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return det % p
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det = det * a[r][c] % p
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, det
 
 
-def _crt_primes(n: int) -> list[int]:
-    """Descending word-size primes whose product exceeds 2 * n^{n/2}."""
-    bound = 2 * int(math.isqrt(n**n)) + 2  # >= 2 n^{n/2}
+def _residues(mat, p: int) -> list[list[int]]:
+    return [[int(x) % p for x in row] for row in np.asarray(mat)]
+
+
+def _det_mod(mat, p: int) -> int:
+    a = _residues(mat, p)
+    pivots, det = _rref(a, p)
+    return det if len(pivots) == len(a) else 0
+
+
+def _crt_primes(bound: int) -> list[int]:
+    """Descending word-size primes whose product exceeds 2 * bound."""
     primes: list[int] = []
     prod = 1
     c = _SCREEN_PRIME
-    while prod <= bound:
+    while prod <= 2 * bound:
         while not is_prime_u64(c):
             c -= 2
         primes.append(c)
@@ -146,8 +135,9 @@ def _crt_primes(n: int) -> list[int]:
 def det_exact(mat) -> int:
     """Exact integer determinant via CRT residues with symmetric lift.
 
-    Valid for +-1 matrices of dimension <= 64: the Hadamard bound n^{n/2}
-    caps |det|, and the prime set's product exceeds twice that.
+    Valid for integer matrices of dimension <= 64: the Hadamard bound
+    prod_i ||row_i|| caps |det|, and the prime set's product exceeds twice
+    that bound (for +-1 matrices it is n^{n/2}).
     """
     arr = np.asarray(mat)
     n = arr.shape[0]
@@ -155,10 +145,10 @@ def det_exact(mat) -> int:
         raise GuardExceeded(f"det_exact guard is n <= {_DET_GUARD}")
     if n == 0:
         return 1
-    primes = _crt_primes(n)
+    hadamard = math.isqrt(math.prod(sum(int(x) ** 2 for x in row) for row in arr)) + 1
     x = 0
     mod = 1
-    for p in primes:
+    for p in _crt_primes(hadamard):
         r = _det_mod(arr, p)
         # incremental CRT
         t = (r - x) * pow(mod % p, p - 2, p) % p
@@ -171,56 +161,13 @@ def det_exact(mat) -> int:
 
 def rank_mod_p(mat, p: PrimeModulus | int) -> int:
     """Row-echelon rank over F_p by elimination with division."""
-    pp = int(p)
-    a = [[int(x) % pp for x in row] for row in np.asarray(mat)]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][c], pp - 2, pp)
-        a[rank] = [x * inv % pp for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][c]:
-                f = a[r][c]
-                a[r] = [(x - f * y) % pp for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_rref(_residues(mat, int(p)), int(p))[0])
 
 
 def rref_mod_p(mat, p: PrimeModulus | int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row-echelon form and pivot columns (independent oracle path)."""
-    pp = int(p)
-    a = [[int(x) % pp for x in row] for row in np.asarray(mat)]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], pp - 2, pp)
-        a[r] = [x * inv % pp for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % pp for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    """Reduced row-echelon form and pivot columns."""
+    a = _residues(mat, int(p))
+    return a, _rref(a, int(p))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +191,11 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p for a batch of square matrices, division-free.
 
     Row updates use a_pp * row - a_rp * pivot_row, which preserves rank as
-    long as a_pp != 0 mod p; products stay below 2^63 for p < 2^31.5.
+    long as a_pp != 0 mod p; products stay below 2^63 while (p - 1)^2 < 2^63
+    (GuardExceeded otherwise).
     """
+    if (p - 1) ** 2 >= 2**63:
+        raise GuardExceeded("batch_rank_mod_p needs (p - 1)^2 < 2^63 for int64 products")
     a = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % p)
     b, n, _ = a.shape
     rank = np.zeros(b, dtype=np.int64)
@@ -283,18 +233,11 @@ def singularity_exact(n: int) -> Fraction:
     """Exact Pr(det M_n = 0) by enumerating all 2^{n(n+1)/2} sign matrices."""
     if not 1 <= n <= _EXACT_ENUM_GUARD:
         raise GuardExceeded(f"exhaustive enumeration guard is n <= {_EXACT_ENUM_GUARD}")
-    m = n * (n + 1) // 2
-    total = 1 << m
-    singular = 0
-    chunk = 1 << 16
     # single residue is exact here: n <= 6 gives |det| <= 6^3 < screen prime
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = (idx[:, None] >> np.arange(m)[None, :]) & 1
-        mats = _bits_to_sym(bits, n)
-        ranks = batch_rank_mod_p(mats, _SCREEN_PRIME)
-        singular += int((ranks < n).sum())
-    return Fraction(singular, total)
+    singular = sum(
+        int((batch_rank_mod_p(mats, _SCREEN_PRIME) < n).sum()) for mats in _sym_chunks(n)
+    )
+    return Fraction(singular, 1 << (n * (n + 1) // 2))
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -328,38 +271,6 @@ def singular_count_block(n: int, bits: np.ndarray) -> int:
         # Hadamard bound below the screening prime: mod-p1 zero is exact zero
         return int(flagged.size)
     return sum(1 for i in flagged if det_bareiss(mats[int(i)]) == 0)
-
-
-def singularity_mc(
-    n: int,
-    trials: int,
-    rng: np.random.Generator,
-    seed_label: str = "",
-    block: int = 20000,
-) -> SingularityEstimate:
-    """Monte Carlo singularity estimate with exact per-trial decisions."""
-    if n > _DET_GUARD:
-        raise GuardExceeded(f"guard is n <= {_DET_GUARD}")
-    if trials <= 0:
-        raise PreconditionViolated("trials must be positive")
-    m = n * (n + 1) // 2
-    singular = 0
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
-        bits = rng.integers(0, 2, size=(b, m), dtype=np.int64)
-        singular += singular_count_block(n, bits)
-        done += b
-    return SingularityEstimate(
-        n=n,
-        trials=trials,
-        singular_count=singular,
-        point_estimate=singular / trials,
-        wilson95=wilson_interval(singular, trials),
-        conjecture_value=n * n * 2.0 ** (1 - n),
-        context_bound_shape=math.exp(-(2.0**-15) * math.sqrt(n)),
-        seed_label=seed_label,
-    )
 
 
 def _mc_block_task(args) -> int:
@@ -420,11 +331,17 @@ def singularity_mc_sharded(
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_sym(n: int):
+def _sym_chunks(n: int):
+    """All 2^{n(n+1)/2} symmetric sign matrices in index order, as [B, n, n] chunks.
+
+    Matrix idx takes bit j of idx as its j-th packed upper-triangle entry.
+    """
     m = n * (n + 1) // 2
-    for idx in range(1 << m):
-        bits = np.array([(idx >> j) & 1 for j in range(m)], dtype=np.int64)
-        yield _bits_to_sym(bits[None, :], n)[0]
+    total = 1 << m
+    chunk = 1 << 16
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield _bits_to_sym((idx[:, None] >> np.arange(m)[None, :]) & 1, n)
 
 
 def match_probability_exact(v: ZpVector, w: ZpVector, p: PrimeModulus) -> Fraction:
@@ -436,13 +353,8 @@ def match_probability_exact(v: ZpVector, w: ZpVector, p: PrimeModulus) -> Fracti
         raise PreconditionViolated("v and w must have equal length")
     va = v.as_array()
     wa = w.as_array()
-    hits = 0
-    total = 0
-    for mat in _enumerate_sym(n):
-        total += 1
-        if ((mat @ va - wa) % p.p == 0).all():
-            hits += 1
-    return Fraction(hits, total)
+    hits = sum(int(((mats @ va - wa) % p.p == 0).all(axis=1).sum()) for mats in _sym_chunks(n))
+    return Fraction(hits, 1 << (n * (n + 1) // 2))
 
 
 @dataclass(frozen=True)
@@ -471,13 +383,11 @@ def block_probability_exact(
         raise PreconditionViolated("index out of range")
     va = v.as_array()
     wa = w.as_array()
-    hits = 0
-    total = 0
-    for mat in _enumerate_sym(n):
-        total += 1
-        if all(int((mat[i] @ va - wa[i]) % p.p) == 0 for i in xs):
-            hits += 1
-    prob = Fraction(hits, total)
+    hits = sum(
+        int(((mats[:, xs, :] @ va - wa[xs]) % p.p == 0).all(axis=1).sum())
+        for mats in _sym_chunks(n)
+    )
+    prob = Fraction(hits, 1 << (n * (n + 1) // 2))
     bound = rho(v.restrict(ys), p).value ** len(xs)
     return BlockProbabilityResult(prob, bound, prob <= bound)
 
@@ -577,22 +487,12 @@ def adjugate_rank1_check(mat, p: PrimeModulus) -> AdjugateReport:
 
 
 def inverse_mod_p(mat, p: PrimeModulus) -> np.ndarray:
-    a = [[int(x) % p.p for x in row] for row in np.asarray(mat)]
+    """Inverse over F_p, read off the RREF of [A | I]."""
+    a = _residues(mat, p.p)
     d = len(a)
     aug = [row + [int(i == j) for j in range(d)] for i, row in enumerate(a)]
-    r = 0
-    for c in range(d):
-        piv = next((i for i in range(r, d) if aug[i][c]), None)
-        if piv is None:
-            raise SingularMatrix("matrix not invertible over F_p")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], p.p - 2, p.p)
-        aug[r] = [x * inv % p.p for x in aug[r]]
-        for i in range(d):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p.p for x, y in zip(aug[i], aug[r])]
-        r += 1
+    if _rref(aug, p.p)[0] != list(range(d)):
+        raise SingularMatrix("matrix not invertible over F_p")
     return np.array([row[d:] for row in aug], dtype=np.int64)
 
 
@@ -671,14 +571,18 @@ def decoupling_probability_check(px: dict, py: dict, event) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _structured_vectors(n: int, p: PrimeModulus, beta: Fraction) -> list[np.ndarray]:
-    out = []
-    for tup in _iproduct(range(p.p), repeat=n):
-        if not any(tup):
-            continue
-        if rho(ZpVector(tup), p).value >= beta:
-            out.append(np.array(tup, dtype=np.int64))
-    return out
+def _structured_vectors(n: int, p: PrimeModulus, beta: Fraction) -> np.ndarray:
+    """[K, n] array of the nonzero v in Z_p^n with rho(v) >= beta."""
+    out = [
+        tup for tup in _iproduct(range(p.p), repeat=n)
+        if any(tup) and rho(ZpVector(tup), p).value >= beta
+    ]
+    return np.array(out, dtype=np.int64).reshape(len(out), n)
+
+
+def _hit_count(mv: np.ndarray, w: np.ndarray, p: int) -> int:
+    """Number of matrices M with M v = w over F_p for some v, given mv = [M v]_{M, v}."""
+    return int(((mv - w[:, None]) % p == 0).all(axis=1).any(axis=1).sum())
 
 
 def q_exact(
@@ -699,13 +603,8 @@ def q_exact(
     if wa.shape != (n,):
         raise PreconditionViolated("w must have length n")
     vs = _structured_vectors(n, p, beta)
-    hits = 0
-    total = 0
-    for mat in _enumerate_sym(n):
-        total += 1
-        if any(((mat @ v - wa) % p.p == 0).all() for v in vs):
-            hits += 1
-    return Fraction(hits, total)
+    hits = sum(_hit_count(mats @ vs.T, wa, p.p) for mats in _sym_chunks(n))
+    return Fraction(hits, 1 << m)
 
 
 def q_exact_max(
@@ -719,16 +618,10 @@ def q_exact_max(
     if p.p ** (2 * n) * (1 << m) > _Q_ENUM_GUARD:
         raise GuardExceeded("outer enumeration beyond guard")
     vs = _structured_vectors(n, p, beta)
-    mats = list(_enumerate_sym(n))
+    mv = np.concatenate([mats @ vs.T for mats in _sym_chunks(n)])
     best = (Fraction(-1), None)
     for w in _iproduct(range(p.p), repeat=n):
-        wa = np.asarray(w, dtype=np.int64)
-        hits = sum(
-            1
-            for mat in mats
-            if any(((mat @ v - wa) % p.p == 0).all() for v in vs)
-        )
-        f = Fraction(hits, len(mats))
+        f = Fraction(_hit_count(mv, np.asarray(w, dtype=np.int64), p.p), len(mv))
         if f > best[0]:
             best = (f, tuple(w))
     return best

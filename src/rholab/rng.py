@@ -26,13 +26,3 @@ def substream(master_seed: int, label: str, counter: int = 0) -> np.random.Gener
         spawn_key=(_label_key(label), int(counter)),
     )
     return np.random.Generator(np.random.Philox(ss))
-
-
-class StreamFactory:
-    """Convenience wrapper fixing the master seed once."""
-
-    def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed)
-
-    def stream(self, label: str, counter: int = 0) -> np.random.Generator:
-        return substream(self.master_seed, label, counter)

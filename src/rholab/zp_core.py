@@ -6,9 +6,10 @@ that rational: a single term is carried as the integer numerator
 
     term_weight(r, p) = min(r, p - r)^2        (denominator p^2 implicit),
 
-and a sum of n terms is an integer over the same denominator.  A comparison
-"sum <= t" against a rational threshold t = a/b is decided by cross
-multiplication: N * b <= a * p^2.  Floating point enters only when a bound is
+and a sum of n terms is an integer W over the same denominator.  Level-set
+membership "W / p^2 <= t" against a rational threshold t is decided in one
+place, level_mask, as the integer comparison W <= floor(t p^2), which is
+exact because W is an integer.  Floating point enters only when a bound is
 *evaluated* (exp/sqrt in the Halasz expressions), never when membership or an
 inequality between exact quantities is decided.
 """
@@ -71,7 +72,7 @@ def next_prime(x: int) -> "PrimeModulus":
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """A prime p > 3 with residue/weight helpers."""
+    """A prime p > 3 with a residue helper."""
 
     p: int
 
@@ -85,26 +86,8 @@ class PrimeModulus:
         """Canonical representative of x in {0, ..., p-1}."""
         return x % self.p
 
-    def term_weight(self, r: int) -> int:
-        return term_weight(r, self)
-
-    @property
-    def half_floor(self) -> int:
-        return self.p // 2
-
     def __int__(self) -> int:
         return self.p
-
-
-def canonical_product(k: int, x: int, p: PrimeModulus) -> int:
-    """(k * x) mod p for canonical residues k, x.
-
-    Products are always projected onto {0, ..., p-1} before a weight is
-    taken; only the residue matters for || . ||.
-    """
-    if not (0 <= k < p.p and 0 <= x < p.p):
-        raise PreconditionViolated("operands must be canonical residues")
-    return k * x % p.p
 
 
 def term_weight(r: int, p: PrimeModulus) -> int:
@@ -115,12 +98,6 @@ def term_weight(r: int, p: PrimeModulus) -> int:
     if not 0 <= r < p.p:
         raise PreconditionViolated(f"residue {r} outside [0, {p.p - 1}]")
     return min(r, p.p - r) ** 2
-
-
-def weight_leq(numerator: int, threshold: Fraction, p: PrimeModulus) -> bool:
-    """Exact test  numerator / p^2 <= threshold  by cross multiplication."""
-    t = Fraction(threshold)
-    return numerator * t.denominator <= t.numerator * p.p * p.p
 
 
 @dataclass(frozen=True)
@@ -187,3 +164,13 @@ def weight_table(v: ZpVector, p: PrimeModulus) -> np.ndarray:
     r = ks[:, None] * arr[None, :] % p.p
     w = np.minimum(r, p.p - r)
     return (w * w).sum(axis=1)
+
+
+def level_mask(weights, t, p: PrimeModulus) -> np.ndarray:
+    """Exact membership mask W(k) / p^2 <= t for integer weights W(k).
+
+    W <= t p^2 iff W <= floor(t p^2) because W is an integer.  The cap is a
+    Python int, which numpy compares exactly even past int64.
+    """
+    t = Fraction(t)
+    return np.asarray(weights) <= t.numerator * p.p * p.p // t.denominator

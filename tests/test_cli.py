@@ -1,6 +1,16 @@
+import hashlib
 import json
 
 from rholab.cli import cli_dispatch
+
+# sha256 of the `verify-all --seed 42 --quick` artifacts.  Refactors must
+# reproduce them byte for byte.  Floats are written with repr, so a libm that
+# rounds exp differently would change verify_all.json too.
+QUICK_DIGESTS = {
+    "verify_all.json": "f137828634e7fa38b4bbf4f09d91381d23fbba28b6800c92cd39b1bb2585ac80",
+    "singularity.csv": "fffb7daba9ddabc47d174d946b60ac06d645972b3ba09018c3fec1a0c080b4f6",
+    "record.json": "d95ef411fdf6ccdf6a0afd6942e27b1d2b54daabc86d88e2fc69ea05b41b637f",
+}
 
 
 def run(capsys, argv):
@@ -37,6 +47,13 @@ def test_singularity_mc_reproducible_across_workers(tmp_path, capsys):
     assert run(capsys, args + ["--out", str(out1)])[0] == 0
     assert run(capsys, args + ["--workers", "3", "--out", str(out2)])[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_all_quick_artifact_digests(tmp_path, capsys):
+    code, _, _ = run(capsys, ["verify-all", "--seed", "42", "--quick", "--out", str(tmp_path)])
+    assert code == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in QUICK_DIGESTS}
+    assert got == QUICK_DIGESTS
 
 
 def test_rho_subcommand_csv(tmp_path, capsys):

@@ -12,8 +12,8 @@ from rholab.inverse_lo import (
     canonical_json,
     certificate_json,
     profile_from_dict,
-    sample_U,
-    sample_Y,
+    sample_U_with_attempts,
+    sample_Y_with_attempts,
     verify_certificate,
 )
 from rholab.rng import substream
@@ -59,7 +59,7 @@ def test_profile_roundtrip_from_dict():
 def test_sample_y_satisfies_acceptance_conditions():
     v = constant_vector(17, 256)
     g = substream(31, "sampley", 0)
-    y = sample_Y(v, P101, DESK_PROFILE, g)
+    y, _ = sample_Y_with_attempts(v, P101, DESK_PROFILE, g)
     n = len(v)
     assert n <= 4 * len(y) <= 2 * n
     assert 4 * v.restrict(y).support_size >= v.support_size
@@ -68,7 +68,7 @@ def test_sample_y_satisfies_acceptance_conditions():
 def test_sample_u_satisfies_acceptance_conditions():
     v = constant_vector(3, 256)
     g = substream(31, "sampleu", 0)
-    u = sample_U(v, P101, DESK_PROFILE, g)
+    u, _ = sample_U_with_attempts(v, P101, DESK_PROFILE, g)
     assert len(u) <= DESK_PROFILE.m(P101)
     f = frequency_set(v.restrict(u), P101)
     from rholab.containers import level_set
@@ -79,8 +79,6 @@ def test_sample_u_satisfies_acceptance_conditions():
 def test_paper_profile_samplers_accept_quickly_at_tiny_p():
     # At p = 5 the level-set conditions are automatic, so the per-property
     # failure rate stays below 1/4 and acceptance averages <= 4 attempts.
-    from rholab.inverse_lo import sample_U_with_attempts, sample_Y_with_attempts
-
     p5 = PrimeModulus(5)
     v = constant_vector(2, 512)
     runs = 100
@@ -101,7 +99,6 @@ def test_paper_profile_proof_chain_on_accepted_samples():
     # On acceptance the proof's step-by-step size chain holds:
     # |T_ell(v_Y)| <= |T_8ell(v)| <= 2 |F(v_U)| and |B| <= 4p / |F(v_U)|.
     from rholab.containers import level_set
-    from rholab.inverse_lo import sample_U_with_attempts, sample_Y_with_attempts
 
     p5 = PrimeModulus(5)
     v = constant_vector(2, 512)
@@ -197,7 +194,7 @@ def test_sampler_retry_exhausted_on_impossible_profile():
     v = constant_vector(4, 256)
     g = substream(34, "hostile", 0)
     with pytest.raises(RetryExhausted):
-        sample_Y(v, P101, hostile, g)
+        sample_Y_with_attempts(v, P101, hostile, g)
 
 
 def test_certificate_serialization_deterministic():

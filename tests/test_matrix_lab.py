@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rholab import matrix_lab as ml
 from rholab.errors import (
@@ -12,7 +14,7 @@ from rholab.errors import (
     SingularMatrix,
 )
 from rholab.rng import substream
-from rholab.zp_core import PrimeModulus, ZpVector
+from rholab.zp_core import PrimeModulus, ZpVector, is_prime_u64, next_prime
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -21,21 +23,16 @@ P7 = PrimeModulus(7)
 def test_sample_symmetric_basics():
     g = substream(51, "sym", 0)
     m = ml.sample_symmetric(1, g)
-    assert m.upper[0] in (-1, 1)
-    m2 = ml.sample_symmetric(6, substream(51, "sym", 1))
-    arr = m2.to_array()
+    assert m[0, 0] in (-1, 1)
+    arr = ml.sample_symmetric(6, substream(51, "sym", 1))
     assert (arr == arr.T).all()
     assert set(np.unique(arr)) <= {-1, 1}
-    # packed accessor agrees with the dense array
-    for i in range(6):
-        for j in range(6):
-            assert m2.entry(i, j) == arr[i, j]
 
 
 def test_sample_symmetric_reproducible():
     a = ml.sample_symmetric(5, substream(51, "rep", 3))
     b = ml.sample_symmetric(5, substream(51, "rep", 3))
-    assert a == b
+    assert (a == b).all()
 
 
 def test_entry_mean_clt_band():
@@ -43,9 +40,9 @@ def test_entry_mean_clt_band():
     total = 0
     count = 0
     for i in range(2300):
-        m = ml.sample_symmetric(9, substream(51, "clt", i))
-        total += sum(m.upper)
-        count += len(m.upper)
+        upper = ml.sample_symmetric(9, substream(51, "clt", i))[np.triu_indices(9)]
+        total += int(upper.sum())
+        count += upper.size
     assert count >= 90000
     assert abs(total / count) < 4 / math.sqrt(count)
 
@@ -60,8 +57,14 @@ def test_det_exact_crt_vs_bareiss():
     for i in range(1000):
         g = substream(52, "det", i)
         n = int(g.integers(1, 9))
-        m = ml.sample_symmetric(n, g).to_array()
+        m = ml.sample_symmetric(n, g)
         assert ml.det_exact(m) == ml.det_bareiss(m)
+
+
+def test_det_exact_large_entries():
+    # the +-1 Hadamard bound n^{n/2} would pick one prime and lift a wrong residue
+    m = [[5 * 10**9, 1], [1, 5 * 10**9]]
+    assert ml.det_exact(m) == ml.det_bareiss(m) == 24999999999999999999
 
 
 def test_rank_examples():
@@ -89,6 +92,55 @@ def test_batch_rank_matches_scalar():
         assert int(ranks[i]) == ml.rank_mod_p(mats[i], 2**31 - 1)
 
 
+def _largest_batch_prime():
+    # largest prime p with (p - 1)^2 < 2^63
+    p = math.isqrt(2**63 - 1) + 1
+    while not is_prime_u64(p):
+        p -= 1
+    return p
+
+
+def test_batch_rank_int64_guard():
+    g = substream(52, "batch-guard", 0)
+    with pytest.raises(GuardExceeded):
+        ml.rank_profile_mc(6, 200, next_prime(2**40), g)
+    mats = g.integers(0, 2, size=(200, 6, 6)) * 2 - 1
+    p = _largest_batch_prime()
+    ranks = ml.batch_rank_mod_p(mats, p)
+    assert all(int(ranks[i]) == ml.rank_mod_p(mats[i], p) for i in range(200))
+    with pytest.raises(GuardExceeded):
+        ml.batch_rank_mod_p(mats, next_prime(p + 1).p)
+
+
+_PRIMES = st.one_of(st.integers(5, 2**16), st.integers(2**32, 2**62)).map(
+    lambda x: next_prime(x).p
+)
+_SQUARE = st.integers(1, 6).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(-50, 50), min_size=d, max_size=d), min_size=d, max_size=d
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SQUARE, _PRIMES)
+def test_elimination_core_differential(a, p):
+    d = len(a)
+    det = ml._det_mod(a, p)
+    assert det == ml.det_bareiss(a) % p
+    rref, pivots = ml.rref_mod_p(a, p)
+    assert ml.rank_mod_p(a, p) == len(pivots)
+    if (p - 1) ** 2 < 2**63:
+        assert int(ml.batch_rank_mod_p(np.array([a]), p)[0]) == len(pivots)
+    if det == 0:
+        with pytest.raises(SingularMatrix):
+            ml.inverse_mod_p(a, PrimeModulus(p))
+        return
+    inv = ml.inverse_mod_p(a, PrimeModulus(p)).tolist()
+    prod = [[sum(a[i][k] * inv[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
+    assert prod == [[int(i == j) for j in range(d)] for i in range(d)]
+
+
 def test_singularity_exact_frozen_values():
     assert ml.singularity_exact(1) == 0
     assert ml.singularity_exact(2) == Fraction(1, 2)
@@ -110,11 +162,11 @@ def test_wilson_interval():
 
 
 def test_singularity_mc_small():
-    est = ml.singularity_mc(2, 20000, substream(53, "mc", 0))
+    est = ml.singularity_mc_sharded(2, 20000, 53)
     assert est.wilson95[0] <= 0.5 <= est.wilson95[1]
     assert est.conjecture_value == 4 * 2.0 ** (-1)
     with pytest.raises(PreconditionViolated):
-        ml.singularity_mc(2, 0, substream(53, "mc", 1))
+        ml.singularity_mc_sharded(2, 0, 53)
 
 
 def test_singularity_mc_sharded_worker_invariant():
@@ -264,6 +316,45 @@ def test_q_exact_majority_atom_at_high_beta():
     # i.e. none with two nonzero coordinates; enumeration confirms q
     got = ml.q_exact(2, P5, Fraction(4, 5), (1, 1))
     assert got == 0
+
+
+def _all_sym_lists(n):
+    """Reference enumeration: every symmetric sign matrix as nested lists."""
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    for signs in product((-1, 1), repeat=len(cells)):
+        m = [[0] * n for _ in range(n)]
+        for (i, j), s in zip(cells, signs):
+            m[i][j] = m[j][i] = s
+        yield m
+
+
+def _solves(m, rows, v, w, p):
+    return all(sum(a * b for a, b in zip(m[r], v)) % p == w[r] % p for r in rows)
+
+
+def test_exhaustive_probabilities_match_loop_reference():
+    mats = list(_all_sym_lists(3))
+    for i in range(10):
+        g = substream(57, "enum-ref", i)
+        v = tuple(int(x) for x in g.integers(0, 5, size=3))
+        w = tuple(int(x) for x in g.integers(0, 5, size=3))
+        want = Fraction(sum(_solves(m, range(3), v, w, 5) for m in mats), len(mats))
+        assert ml.match_probability_exact(ZpVector(v), ZpVector(w), P5) == want
+        want = Fraction(sum(_solves(m, [0], v, w, 5) for m in mats), len(mats))
+        got = ml.block_probability_exact(ZpVector(v), ZpVector(w), [0], [1, 2], P5)
+        assert got.probability == want
+    from rholab.anticoncentration import rho
+
+    mats = list(_all_sym_lists(2))
+    beta = Fraction(1, 2)
+    vs = [v for v in product(range(5), repeat=2) if any(v) and rho(ZpVector(v), P5).value >= beta]
+    qs = {}
+    for w in product(range(5), repeat=2):
+        hits = sum(any(_solves(m, range(2), v, w, 5) for v in vs) for m in mats)
+        qs[w] = Fraction(hits, len(mats))
+        assert ml.q_exact(2, P5, beta, w, strict=False) == qs[w]
+    best = max(qs.values())
+    assert ml.q_exact_max(2, P5, beta, strict=False) == (best, min(w for w in qs if qs[w] == best))
 
 
 def test_rank_profile_growth_scan_at_n6():

@@ -1,4 +1,4 @@
-from rholab.rng import StreamFactory, substream
+from rholab.rng import substream
 
 
 def test_substream_deterministic():
@@ -16,9 +16,3 @@ def test_substream_label_and_counter_independent():
     assert not (base == other_counter).all()
     assert not (base == other_seed).all()
 
-
-def test_stream_factory():
-    f = StreamFactory(7)
-    a = f.stream("x", 5).integers(0, 100, size=4)
-    b = substream(7, "x", 5).integers(0, 100, size=4)
-    assert (a == b).all()

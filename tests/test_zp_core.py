@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,11 +9,10 @@ from rholab.errors import PreconditionViolated
 from rholab.zp_core import (
     PrimeModulus,
     ZpVector,
-    canonical_product,
     is_prime_u64,
+    level_mask,
     next_prime,
     term_weight,
-    weight_leq,
     weight_table,
     zp_vector,
 )
@@ -49,14 +50,6 @@ def test_prime_modulus_validation():
         PrimeModulus(9)
     with pytest.raises(PreconditionViolated):
         PrimeModulus(3)  # structural requirement p > 3
-    assert PrimeModulus(101).half_floor == 50
-
-
-def test_canonical_product_examples():
-    p = PrimeModulus(7)
-    assert canonical_product(0, 4, p) == 0
-    assert canonical_product(1, 4, p) == 4
-    assert canonical_product(3, 4, p) == 5  # 12 mod 7
 
 
 def test_term_weight_examples():
@@ -74,16 +67,25 @@ def test_term_weight_symmetry(r):
 @given(st.integers(min_value=0, max_value=100), st.integers(min_value=0, max_value=100))
 def test_weight_of_product_bounded(k, x):
     p = PrimeModulus(101)
-    assert term_weight(canonical_product(k, x, p), p) <= p.half_floor**2
+    assert term_weight(k * x % p.p, p) <= (p.p // 2) ** 2
 
 
-def test_weight_leq_cross_multiplication():
-    from fractions import Fraction
-
+def test_level_mask_exact_threshold():
     p = PrimeModulus(5)
     # 2/25 <= 1/10 iff 20 <= 25
-    assert weight_leq(2, Fraction(1, 10), p)
-    assert not weight_leq(3, Fraction(1, 10), p)
+    assert level_mask(np.array([2, 3]), Fraction(1, 10), p).tolist() == [True, False]
+    # a cap past int64 still compares exactly
+    assert level_mask(np.array([2**62]), Fraction(2**70, 3), p).all()
+
+
+@given(
+    st.integers(min_value=0, max_value=2**40),
+    st.fractions(min_value=0, max_value=2**20),
+    st.sampled_from([5, 7, 101, 1009, 2**31 - 1]),
+)
+def test_level_mask_matches_cross_multiplication(w, t, p):
+    got = bool(level_mask(np.array([w], dtype=np.int64), t, PrimeModulus(p))[0])
+    assert got == (w * t.denominator <= t.numerator * p * p)
 
 
 def test_zp_vector_support_and_restrict():
@@ -107,7 +109,7 @@ def test_weight_table_matches_scalar():
     v = ZpVector((1, 5, 0, 12))
     table = weight_table(v, p)
     for k in range(13):
-        expected = sum(term_weight(canonical_product(k, e, p), p) for e in v.entries)
+        expected = sum(term_weight(k * e % p.p, p) for e in v.entries)
         assert int(table[k]) == expected
 
 
