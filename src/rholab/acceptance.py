@@ -35,7 +35,7 @@ def _random_vector(rng, n: int, p: PrimeModulus) -> ZpVector:
     return ZpVector(tuple(int(x) for x in rng.integers(0, p.p, size=n)))
 
 
-def check_rho_oracle(seed: int, cases: int = 500) -> dict:
+def check_rho_oracle(seed: int, cases: int) -> dict:
     """Criterion 1: convolution law == brute-force enumeration, atom for atom."""
     bad = 0
     for i in range(cases):
@@ -52,10 +52,10 @@ def check_rho_oracle(seed: int, cases: int = 500) -> dict:
 
 def check_deterministic_lemmas(
     seed: int,
-    container_cases: int = 200,
-    contain_cases: int = 200,
-    sumset_cases: int = 100,
-    cd_cases: int = 100,
+    container_cases: int,
+    contain_cases: int,
+    sumset_cases: int,
+    cd_cases: int,
 ) -> dict:
     """Criterion 2: the four deterministic lemmas at paper constants."""
     bad = {"container_size": 0, "containment": 0, "sumset": 0, "cauchy_davenport": 0}
@@ -106,7 +106,7 @@ def check_deterministic_lemmas(
     }
 
 
-def check_halasz_chain(seed: int, cases: int = 200) -> dict:
+def check_halasz_chain(seed: int, cases: int) -> dict:
     """Criterion 3: rho(v) below each Halasz-form bound, every integer ell."""
     bad = 0
     checked = 0
@@ -130,7 +130,7 @@ def check_halasz_chain(seed: int, cases: int = 200) -> dict:
     return {"name": "halasz_chain", "ok": bad == 0, "cases": cases, "ell_checks": checked, "violations": bad}
 
 
-def check_container_construction(seed: int, cases: int = 100, n: int = 512, p_val: int = 101) -> dict:
+def check_container_construction(seed: int, cases: int, n: int = 512, p_val: int = 101) -> dict:
     """Criterion 4: desk-profile builds certify on >= 99% of structured vectors."""
     p = PrimeModulus(p_val)
     successes = 0
@@ -162,7 +162,7 @@ def check_container_construction(seed: int, cases: int = 100, n: int = 512, p_va
     }
 
 
-def check_fibre_algorithm(seed: int, cases: int = 100, n: int = 1024, p_val: int = 101) -> dict:
+def check_fibre_algorithm(seed: int, cases: int, n: int = 1024, p_val: int = 101) -> dict:
     """Criterion 5: traces audit clean; a tampered trace is caught."""
     p = PrimeModulus(p_val)
     bad = 0
@@ -201,7 +201,7 @@ def check_fibre_algorithm(seed: int, cases: int = 100, n: int = 1024, p_val: int
     }
 
 
-def check_exhaustive_matrix(seed: int, match_cases: int = 50, block_cases: int = 50) -> dict:
+def check_exhaustive_matrix(seed: int, match_cases: int, block_cases: int) -> dict:
     """Criterion 6: tiny exhaustive matrix probabilities."""
     p = PrimeModulus(5)
     ok_exact = ml.singularity_exact(2) == Fraction(1, 2)
@@ -241,10 +241,10 @@ def check_exhaustive_matrix(seed: int, match_cases: int = 50, block_cases: int =
 
 def check_identities(
     seed: int,
-    decouple_cases: int = 200,
-    prob_cases: int = 100,
-    odlyzko_cases: int = 100,
-    adjugate_cases: int = 50,
+    decouple_cases: int,
+    prob_cases: int,
+    odlyzko_cases: int,
+    adjugate_cases: int,
 ) -> dict:
     """Criterion 7: the algebraic identity suite never reports a violation."""
     bad = {"decoupling_identity": 0, "decoupling_probability": 0, "odlyzko": 0, "adjugate": 0}
@@ -308,7 +308,7 @@ def check_identities(
     }
 
 
-def check_rho_inequalities(seed: int, cases: int = 500) -> dict:
+def check_rho_inequalities(seed: int, cases: int) -> dict:
     """Criterion 8: restriction monotonicity, sandwich, lazy-walk equality."""
     bad = 0
     for i in range(cases):
@@ -334,9 +334,9 @@ def check_rho_inequalities(seed: int, cases: int = 500) -> dict:
 
 def check_monte_carlo(
     seed: int,
-    exact_trials: int = 10**6,
-    trend_trials: int = 10**5,
-    trend_max_n: int = 16,
+    exact_trials: int,
+    trend_trials: int,
+    trend_max_n: int,
     workers: int = 1,
 ) -> dict:
     """Criterion 9: MC intervals contain exact values; point estimates decay."""
@@ -405,27 +405,39 @@ ALL_CHECKS = [
 ]
 
 
+# Case counts of each criterion at full and quick scale, keyword arguments of
+# its check.  tests/test_acceptance.py runs the "full" row.
+SCALES = {
+    "1": {"full": dict(cases=500), "quick": dict(cases=50)},
+    "2": {
+        "full": dict(container_cases=200, contain_cases=200, sumset_cases=100, cd_cases=100),
+        "quick": dict(container_cases=20, contain_cases=20, sumset_cases=10, cd_cases=10),
+    },
+    "3": {"full": dict(cases=200), "quick": dict(cases=20)},
+    "4": {"full": dict(cases=100), "quick": dict(cases=10)},
+    "5": {"full": dict(cases=100), "quick": dict(cases=5)},
+    "6": {"full": dict(match_cases=50, block_cases=50), "quick": dict(match_cases=10, block_cases=10)},
+    "7": {
+        "full": dict(decouple_cases=200, prob_cases=100, odlyzko_cases=100, adjugate_cases=50),
+        "quick": dict(decouple_cases=20, prob_cases=10, odlyzko_cases=10, adjugate_cases=5),
+    },
+    "8": {"full": dict(cases=500), "quick": dict(cases=50)},
+    "9": {
+        "full": dict(exact_trials=10**6, trend_trials=10**5, trend_max_n=16),
+        "quick": dict(exact_trials=20000, trend_trials=10000, trend_max_n=10),
+    },
+}
+
+
 def run_suite(seed: int, quick: bool = False, workers: int = 1) -> dict:
     """Run criteria 1..9 at full (or reduced) scale; returns the suite doc."""
+    scale = "quick" if quick else "full"
     results = []
-    if quick:
-        results.append(("1", check_rho_oracle(seed, cases=50)))
-        results.append(("2", check_deterministic_lemmas(seed, 20, 20, 10, 10)))
-        results.append(("3", check_halasz_chain(seed, cases=20)))
-        results.append(("4", check_container_construction(seed, cases=10)))
-        results.append(("5", check_fibre_algorithm(seed, cases=5)))
-        results.append(("6", check_exhaustive_matrix(seed, 10, 10)))
-        results.append(("7", check_identities(seed, 20, 10, 10, 5)))
-        results.append(("8", check_rho_inequalities(seed, cases=50)))
-        results.append(
-            ("9", check_monte_carlo(seed, exact_trials=20000, trend_trials=10000, trend_max_n=10, workers=workers))
-        )
-    else:
-        for label, fn in ALL_CHECKS:
-            if fn is check_monte_carlo:
-                results.append((label, fn(seed, workers=workers)))
-            else:
-                results.append((label, fn(seed)))
+    for label, fn in ALL_CHECKS:
+        kwargs = dict(SCALES[label][scale])
+        if fn is check_monte_carlo:
+            kwargs["workers"] = workers
+        results.append((label, fn(seed, **kwargs)))
     doc = {
         "seed": seed,
         "quick": quick,

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GuardExceeded, PreconditionViolated, RangeTooLarge
-from .zp_core import PrimeModulus, ZpVector, level_mask, weight_table
+from .zp_core import PrimeModulus, ZpVector, check_table_size, level_mask, level_members, weight_table
 
 # Absolute slack granted to float-valued bounds when checked against exact rho.
 FLOAT_SLACK = 1e-12
@@ -88,6 +88,7 @@ def distribution_zp(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     Step i convolves with (delta_{v_i} + delta_{-v_i}); cost O(n p) big-int
     additions.  The empty vector gives the point mass at 0.
     """
+    check_table_size(len(v), p)
     counts = [0] * p.p
     counts[0] = 1
     for e in v.entries:
@@ -152,6 +153,7 @@ def distribution_half(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
 
     Counts live over denominator 4^n = 2^{2n}.
     """
+    check_table_size(len(v), p)
     counts = [0] * p.p
     counts[0] = 1
     for e in v.entries:
@@ -178,9 +180,9 @@ def rho_half(v: ZpVector, p: PrimeModulus) -> RhoResult:
 # ---------------------------------------------------------------------------
 
 
-def level_counts(v: ZpVector, p: PrimeModulus) -> list[int]:
+def level_counts(v: ZpVector, p: PrimeModulus) -> np.ndarray:
     """Exact integer weights W(k) = p^2 * Sum_i ||k v_i / p||^2 for all k."""
-    return [int(x) for x in weight_table(v, p)]
+    return weight_table(v, p)
 
 
 def halasz_first_bound(v: ZpVector, p: PrimeModulus) -> float:
@@ -196,7 +198,7 @@ def halasz_second_bound(v: ZpVector, ell, p: PrimeModulus) -> float:
     ellf = Fraction(ell)
     if ellf < 1:
         raise PreconditionViolated("ell must be >= 1")
-    weights = np.asarray(level_counts(v, p))
+    weights = level_counts(v, p)
     total = 1.0 / p.p
     for t in range(1, math.ceil(ellf) + 1):
         size_t = int(level_mask(weights, t, p).sum())
@@ -242,9 +244,8 @@ def sumset_level_check(v: ZpVector, m: int, t, p: PrimeModulus) -> bool:
         raise PreconditionViolated("m must be >= 1")
     tf = Fraction(t)
     weights = level_counts(v, p)
-    tt = set(np.flatnonzero(level_mask(weights, tf, p)).tolist())
-    big = set(np.flatnonzero(level_mask(weights, m * m * tf, p)).tolist())
-    return _fold_sumset(tt, m, p) <= big
+    tt = level_members(weights, tf, p)
+    return _fold_sumset(tt, m, p) <= level_members(weights, m * m * tf, p)
 
 
 def cauchy_davenport_check(a: set[int], m: int, p: PrimeModulus) -> bool:

@@ -57,12 +57,19 @@ def _profile(spec: str):
     raise _UsageError(f"unknown profile {spec!r} (use paper, desk, or file:<path>)")
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--profile", default="desk", help="paper | desk | file:<path>")
-    sp.add_argument("--out", default=None, help="artifact path (or directory for verify-all)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--workers", type=int, default=1)
+_COMMON = {
+    "seed": dict(type=int, default=0),
+    "profile": dict(default="desk", help="paper | desk | file:<path>"),
+    "out": dict(default=None, help="artifact path (or directory for verify-all)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "workers": dict(type=int, default=1),
+}
+
+
+def _add_common(sp, *names):
+    """Add the shared options a subcommand actually reads."""
+    for name in names:
+        sp.add_argument(f"--{name}", **_COMMON[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,35 +77,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("rho", help="exact rho / rho-half for a vector file")
-    _add_common(sp)
+    _add_common(sp, "out", "format")
     sp.add_argument("--vectors", required=True)
 
     sp = sub.add_parser("halasz", help="bound-chain audit for a vector file")
-    _add_common(sp)
+    _add_common(sp, "out", "format")
     sp.add_argument("--vectors", required=True)
 
     sp = sub.add_parser("container", help="build and verify container certificates")
-    _add_common(sp)
+    _add_common(sp, "seed", "profile", "out", "format")
     sp.add_argument("--n", type=int, default=512)
     sp.add_argument("--p", type=int, default=101)
     sp.add_argument("--count", type=int, default=10)
 
     sp = sub.add_parser("fibre", help="run and audit fibre traces")
-    _add_common(sp)
+    _add_common(sp, "seed", "profile", "out", "format")
     sp.add_argument("--n", type=int, default=1024)
     sp.add_argument("--p", type=int, default=101)
     sp.add_argument("--count", type=int, default=10)
     sp.add_argument("--trace-out", default=None)
 
     sp = sub.add_parser("singularity", help="exact or Monte Carlo singularity")
-    _add_common(sp)
+    _add_common(sp, "seed", "out", "format", "workers")
     sp.add_argument("--exact", action="store_true")
     sp.add_argument("--mc", action="store_true")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--trials", type=int, default=100000)
 
     sp = sub.add_parser("identities", help="algebraic identity property suites")
-    _add_common(sp)
+    _add_common(sp, "seed", "out", "format")
     sp.add_argument("--cases", type=int, default=50)
     sp.add_argument("--beta", default=None,
                     help="also probe exhaustive q_n(beta), e.g. --beta 4/5 --n 2 --p 5")
@@ -106,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=5)
 
     sp = sub.add_parser("verify-all", help="full acceptance suite")
-    _add_common(sp)
+    _add_common(sp, "seed", "profile", "out", "workers")
     sp.add_argument("--quick", action="store_true", help="reduced case counts")
     return ap
 
@@ -159,10 +166,10 @@ def cmd_halasz(args) -> int:
         for ell in range(1, max_ell + 1):
             second = ac.halasz_second_bound(v, ell, p)
             final = ac.halasz_bound(v, ell, p)
-            ok = ok1 and r <= second + ac.FLOAT_SLACK and r <= final + ac.FLOAT_SLACK
-            bad += 0 if (r <= second + ac.FLOAT_SLACK and r <= final + ac.FLOAT_SLACK) else 1
+            ok = r <= second + ac.FLOAT_SLACK and r <= final + ac.FLOAT_SLACK
+            bad += 0 if ok else 1
             rows.append([idx, p.p, v.support_size, ell,
-                         repr(r), repr(first), repr(second), repr(final), ok])
+                         repr(r), repr(first), repr(second), repr(final), ok1 and ok])
         if max_ell < 1:
             rows.append([idx, p.p, v.support_size, "", repr(r), repr(first), "", "", ok1])
     _emit(args, header, rows, {"rows": [dict(zip(header, row)) for row in rows]})

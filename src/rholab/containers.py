@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GuardExceeded, PreconditionViolated
-from .zp_core import PrimeModulus, ZpVector, level_mask, weight_table
+from .zp_core import PrimeModulus, ZpVector, level_members, weight_table
 
 _GAP_ENUM_GUARD = 10**6
 
@@ -69,8 +69,7 @@ def level_set(v: ZpVector, t, p: PrimeModulus) -> LevelSetQuery:
     tf = Fraction(t)
     if tf < 0:
         raise PreconditionViolated("threshold must be >= 0")
-    members = frozenset(np.flatnonzero(level_mask(weight_table(v, p), tf, p)).tolist())
-    return LevelSetQuery(v, tf, members)
+    return LevelSetQuery(v, tf, level_members(weight_table(v, p), tf, p))
 
 
 def frequency_set(w: ZpVector, p: PrimeModulus) -> frozenset[int]:
@@ -79,16 +78,10 @@ def frequency_set(w: ZpVector, p: PrimeModulus) -> frozenset[int]:
 
 
 def container(s, p: PrimeModulus) -> ContainerSet:
-    """Exact C(S); C(empty) = Z_p by the vacuous-sum convention."""
+    """Exact C(S): the level set T_{|S|/32} of the vector sorted(S); C(empty) = Z_p."""
     s = frozenset(int(k) % p.p for k in s)
-    if not s:
-        return ContainerSet(s, frozenset(range(p.p)))
-    sarr = np.array(sorted(s), dtype=np.int64)
-    aks = np.arange(p.p, dtype=np.int64)[:, None] * sarr[None, :] % p.p
-    w = np.minimum(aks, p.p - aks)
-    sums = (w * w).sum(axis=1)
-    members = frozenset(np.flatnonzero(level_mask(sums, Fraction(len(s), 32), p)).tolist())
-    return ContainerSet(s, members)
+    weights = weight_table(ZpVector(tuple(sorted(s))), p)
+    return ContainerSet(s, level_members(weights, Fraction(len(s), 32), p))
 
 
 def lemma_contain_check(

@@ -29,7 +29,7 @@ from .anticoncentration import RhoResult, rho
 from .containers import ContainerSet, container, frequency_set, level_set
 from .errors import PreconditionViolated, RetryExhausted
 from .harness import canonical_json
-from .zp_core import PrimeModulus, ZpVector
+from .zp_core import PrimeModulus, ZpVector, level_members, weight_table
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,36 @@ def _mask_subset(n: int, density: float, rng: np.random.Generator) -> frozenset[
     return frozenset(np.flatnonzero(rng.random(n) < density).tolist())
 
 
+def _levels(v: ZpVector, p: PrimeModulus, profile: ConstantsProfile):
+    """(ell, T_8ell(v), T_t(v)), both level sets read from one weight table."""
+    ell = profile.ell(v.support_size)
+    weights = weight_table(v, p)
+    return ell, level_members(weights, 8 * ell, p), level_members(weights, profile.t(len(v)), p)
+
+
+def _y_failures(v: ZpVector, y, ell, t8, p: PrimeModulus):
+    """Lazily yield the failed Y-properties, in order; a sampler stops at the first."""
+    n = len(v)
+    if not (n <= 4 * len(y) and 2 * len(y) <= n):
+        yield "sizeY outside [n/4, n/2]"
+    vy = v.restrict(y)
+    if 4 * vy.support_size < v.support_size:
+        yield "supportVY below supportV/4"
+    if not level_set(vy, ell, p).members <= t8:
+        yield "T_ell(v_Y) escapes T_8ell(v)"
+
+
+def _u_failures(v: ZpVector, u, m: int, t8, tt, p: PrimeModulus):
+    """Lazily yield the failed U-properties, in order; a sampler stops at the first."""
+    if len(u) > m:
+        yield "sizeU exceeds m"
+    f = frequency_set(v.restrict(u), p)
+    if not f <= tt:
+        yield "F(v_U) escapes T_t(v)"
+    if len(t8) > 2 * len(f):
+        yield "|T_8ell(v)| exceeds 2|F(v_U)|"
+
+
 def sample_Y_with_attempts(
     v: ZpVector,
     p: PrimeModulus,
@@ -162,16 +192,10 @@ def sample_Y_with_attempts(
     inputs).  Returns (Y, attempts used).
     """
     n = len(v)
-    ell = profile.ell(v.support_size)
-    t8 = level_set(v, 8 * ell, p).members
+    ell, t8, _ = _levels(v, p, profile)
     for attempt in range(1, profile.max_attempts + 1):
         y = _mask_subset(n, float(profile.y_density), rng)
-        if not (n <= 4 * len(y) and 2 * len(y) <= n):
-            continue
-        vy = v.restrict(y)
-        if 4 * vy.support_size < v.support_size:
-            continue
-        if level_set(vy, ell, p).members <= t8:
+        if next(_y_failures(v, y, ell, t8, p), None) is None:
             return y, attempt
     raise RetryExhausted(
         f"Y sampler exhausted {profile.max_attempts} attempts (profile {profile.name})"
@@ -185,21 +209,13 @@ def sample_U_with_attempts(
     rng: np.random.Generator,
 ) -> tuple[frozenset[int], int]:
     """Rejection-sample U until |U| <= m, F(v_U) in T_t(v), |T_8ell| <= 2|F|."""
-    n = len(v)
     m = profile.m(p)
-    density = profile.u_density(n, p)
-    tset = level_set(v, profile.t(n), p).members
-    size8 = level_set(v, 8 * profile.ell(v.support_size), p).size
+    density = profile.u_density(len(v), p)
+    _, t8, tt = _levels(v, p, profile)
     for attempt in range(1, profile.max_attempts + 1):
-        u = _mask_subset(n, density, rng)
-        if len(u) > m:
-            continue
-        f = frequency_set(v.restrict(u), p)
-        if not f <= tset:
-            continue
-        if size8 > 2 * len(f):
-            continue
-        return u, attempt
+        u = _mask_subset(len(v), density, rng)
+        if next(_u_failures(v, u, m, t8, tt, p), None) is None:
+            return u, attempt
     raise RetryExhausted(
         f"U sampler exhausted {profile.max_attempts} attempts (profile {profile.name})"
     )
@@ -212,6 +228,18 @@ def _size_bound_holds(
     lhs = size_b * size_b * rho_vy.count * rho_vy.count * support_v
     rhs = size_const * size_const * (1 << (2 * rho_vy.log2_denominator))
     return lhs <= rhs
+
+
+def _measured(v: ZpVector, y, b: ContainerSet, rho_vy: RhoResult) -> dict:
+    """The six measured quantities of a certificate with these Y, B, rho(v_Y)."""
+    return {
+        "sizeY": len(y),
+        "supportVY": v.restrict(y).support_size,
+        "outsideCount": sum(1 for e in v.entries if e not in b.members),
+        "sizeB": b.size,
+        "rhoVY": rho_vy.value,
+        "supportV": v.support_size,
+    }
 
 
 def build_container(
@@ -227,7 +255,6 @@ def build_container(
     after verify_certificate passes on it.
     """
     v.validate(p)
-    n = len(v)
     if v.support_size < profile.support_floor(p):
         raise PreconditionViolated(
             f"support {v.support_size} below floor {profile.support_floor(p):.1f}"
@@ -243,22 +270,8 @@ def build_container(
         u = sample_U_with_attempts(v, p, profile, rng)[0]
         b = container(frequency_set(v.restrict(u), p), p)
         rho_vy = rho(v.restrict(y), p)
-        outside = sum(1 for e in v.entries if e not in b.members)
         cert = ContainerCertificate(
-            p=p.p,
-            n=n,
-            y=y,
-            u=u,
-            b=b,
-            rho_vy=rho_vy,
-            measured={
-                "sizeY": len(y),
-                "supportVY": v.restrict(y).support_size,
-                "outsideCount": outside,
-                "sizeB": b.size,
-                "rhoVY": rho_vy.value,
-                "supportV": v.support_size,
-            },
+            p=p.p, n=len(v), y=y, u=u, b=b, rho_vy=rho_vy, measured=_measured(v, y, b, rho_vy)
         )
         ok, failures = verify_certificate(v, p, profile, cert)
         if ok:
@@ -278,37 +291,24 @@ def verify_certificate(
 ) -> tuple[bool, list[str]]:
     """Recompute every measured quantity from (v, Y, U, B) and check it.
 
-    Independent of the construction path: recomputes the container from the
-    frequency set, rho(v_Y) by exact DP, and decides the size bound by
-    squaring both sides in integers.
+    Trusts nothing the construction reported: re-tests the Y/U properties with
+    the samplers' own predicates, recomputes C(F(v_U)) and rho(v_Y) (exact
+    DP), and decides the size bound by squaring both sides in integers.
     """
-    failures: list[str] = []
     n = len(v)
     y, u = cert.y, cert.u
-    if not (n <= 4 * len(y) and 2 * len(y) <= n):
-        failures.append("sizeY outside [n/4, n/2]")
-    vy = v.restrict(y)
-    if 4 * vy.support_size < v.support_size:
-        failures.append("supportVY below supportV/4")
-    ell = profile.ell(v.support_size)
-    t8 = level_set(v, 8 * ell, p).members
-    if not level_set(vy, ell, p).members <= t8:
-        failures.append("T_ell(v_Y) escapes T_8ell(v)")
-    m = profile.m(p)
-    if len(u) > m:
-        failures.append("sizeU exceeds m")
+    ell, t8, tt = _levels(v, p, profile)
+    failures = list(_y_failures(v, y, ell, t8, p))
+    failures += _u_failures(v, u, profile.m(p), t8, tt, p)
     f = frequency_set(v.restrict(u), p)
-    if not f <= level_set(v, profile.t(n), p).members:
-        failures.append("F(v_U) escapes T_t(v)")
-    if len(t8) > 2 * len(f):
-        failures.append("|T_8ell(v)| exceeds 2|F(v_U)|")
-    b2 = container(f, p)
-    if b2.members != cert.b.members or cert.b.s != f:
+    if container(f, p).members != cert.b.members or cert.b.s != f:
         failures.append("B is not the container of F(v_U)")
-    outside = sum(1 for e in v.entries if e not in cert.b.members)
+    vy = v.restrict(y)
+    rho_vy = rho(vy, p)
+    checked = _measured(v, y, cert.b, rho_vy)
+    outside = checked["outsideCount"]
     if outside != cert.measured["outsideCount"] or 4 * outside > n:
         failures.append("outsideCount exceeds n/4 or is misreported")
-    rho_vy = rho(vy, p)
     if rho_vy.value != cert.rho_vy.value:
         failures.append("rhoVY misreported")
     if not _size_bound_holds(
@@ -322,14 +322,6 @@ def verify_certificate(
         app_bound = 2**13 * size_ell_y / (p.p * math.sqrt(v.support_size))
         if float(rho_vy.value) > app_bound + 1e-12:
             failures.append("Halasz application bound violated")
-    checked = {
-        "sizeY": len(y),
-        "supportVY": vy.support_size,
-        "outsideCount": outside,
-        "sizeB": cert.b.size,
-        "rhoVY": rho_vy.value,
-        "supportV": v.support_size,
-    }
     if checked != cert.measured:
         failures.append("measured quantities do not match recomputation")
     return not failures, failures

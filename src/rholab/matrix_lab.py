@@ -396,10 +396,14 @@ def odlyzko_check(basis, n: int, p: PrimeModulus) -> tuple[int, bool]:
     """Count sign vectors inside span(basis) over F_p; at most 2^|basis|.
 
     The basis must be independent (DependentBasis otherwise).  Membership is
-    decided by reducing every x in {-1,1}^n against the basis RREF.
+    decided by reducing every x in {-1,1}^n against the basis RREF in int64,
+    whose products stay below 2^63 while (p - 1) p < 2^63 (GuardExceeded
+    otherwise).
     """
     if n > _ODLYZKO_GUARD:
         raise GuardExceeded(f"guard is n <= {_ODLYZKO_GUARD}")
+    if (p.p - 1) * p.p >= 2**63:
+        raise GuardExceeded("odlyzko_check needs (p - 1) p < 2^63 for int64 products")
     rows = [list(b.entries) if isinstance(b, ZpVector) else [int(e) % p.p for e in b] for b in basis]
     k = len(rows)
     if k == 0:

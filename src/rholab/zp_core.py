@@ -9,9 +9,15 @@ that rational: a single term is carried as the integer numerator
 and a sum of n terms is an integer W over the same denominator.  Level-set
 membership "W / p^2 <= t" against a rational threshold t is decided in one
 place, level_mask, as the integer comparison W <= floor(t p^2), which is
-exact because W is an integer.  Floating point enters only when a bound is
+exact because W is an integer; level_members turns that mask into the member
+set, and every level set, frequency set and container downstream is one
+weight_table read through it.  Floating point enters only when a bound is
 *evaluated* (exp/sqrt in the Halasz expressions), never when membership or an
 inequality between exact quantities is decided.
+
+Tables over Z_p (the p x n weight table here, the O(p) atom lists of the
+exact laws) are capped by TABLE_CELL_GUARD on p * max(n, 1); past it
+check_table_size raises GuardExceeded instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -21,11 +27,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PreconditionViolated
+from .errors import GuardExceeded, PreconditionViolated
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24,
 # which covers every 64-bit input.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Cap on p * max(n, 1) for tables over Z_p: a weight table of that many
+# int64 cells takes about 80 MB per intermediate array.
+TABLE_CELL_GUARD = 10**7
 
 
 def is_prime_u64(n: int) -> bool:
@@ -151,12 +161,21 @@ def zp_vector(entries, p: PrimeModulus | None = None) -> ZpVector:
     return ZpVector(tuple(int(e) for e in entries))
 
 
+def check_table_size(n: int, p: PrimeModulus) -> None:
+    """Raise GuardExceeded if an O(p n) table over Z_p would pass the guard."""
+    if p.p * max(n, 1) > TABLE_CELL_GUARD:
+        raise GuardExceeded(
+            f"p * n = {p.p * max(n, 1)} exceeds the table guard {TABLE_CELL_GUARD}"
+        )
+
+
 def weight_table(v: ZpVector, p: PrimeModulus) -> np.ndarray:
     """W[k] = sum_i min(k*v_i mod p, p - ...)^2 for every k in Z_p.
 
-    Exact in int64: each term is at most (p/2)^2 and n * (p/2)^2 stays far
-    below 2^63 for every feasible (n, p) here.
+    Exact in int64: under the table guard k * v_i < p^2 <= 10^14 and
+    n * (p/2)^2 <= p n * p / 4 <= 2.5 * 10^13, far below 2^63.
     """
+    check_table_size(len(v), p)
     if len(v) == 0:
         return np.zeros(p.p, dtype=np.int64)
     arr = v.as_array()
@@ -174,3 +193,8 @@ def level_mask(weights, t, p: PrimeModulus) -> np.ndarray:
     """
     t = Fraction(t)
     return np.asarray(weights) <= t.numerator * p.p * p.p // t.denominator
+
+
+def level_members(weights, t, p: PrimeModulus) -> frozenset[int]:
+    """The frequencies k with W(k) / p^2 <= t, as a set."""
+    return frozenset(np.flatnonzero(level_mask(weights, t, p)).tolist())

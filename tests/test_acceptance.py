@@ -11,6 +11,7 @@ from rholab import acceptance as acc
 from rholab.cli import cli_dispatch
 
 SEED = 42
+FULL = {label: scales["full"] for label, scales in acc.SCALES.items()}
 
 
 def _report(label, res, elapsed, budget=None):
@@ -24,25 +25,25 @@ def _report(label, res, elapsed, budget=None):
 
 def test_criterion_1_rho_oracle_equivalence():
     t0 = time.time()
-    res = acc.check_rho_oracle(SEED, cases=500)
+    res = acc.check_rho_oracle(SEED, **FULL["1"])
     _report("1", res, time.time() - t0, budget=60)
 
 
 def test_criterion_2_deterministic_lemmas():
     t0 = time.time()
-    res = acc.check_deterministic_lemmas(SEED, 200, 200, 100, 100)
+    res = acc.check_deterministic_lemmas(SEED, **FULL["2"])
     _report("2", res, time.time() - t0, budget=120)
 
 
 def test_criterion_3_halasz_chain():
     t0 = time.time()
-    res = acc.check_halasz_chain(SEED, cases=200)
+    res = acc.check_halasz_chain(SEED, **FULL["3"])
     _report("3", res, time.time() - t0)
 
 
 def test_criterion_4_container_construction():
     t0 = time.time()
-    res = acc.check_container_construction(SEED, cases=100, n=512, p_val=101)
+    res = acc.check_container_construction(SEED, **FULL["4"], n=512, p_val=101)
     _report("4", res, time.time() - t0)
     assert res["successes"] >= 99
     assert res["reverified"] == res["successes"]
@@ -50,7 +51,7 @@ def test_criterion_4_container_construction():
 
 def test_criterion_5_fibre_algorithm():
     t0 = time.time()
-    res = acc.check_fibre_algorithm(SEED, cases=100, n=1024, p_val=101)
+    res = acc.check_fibre_algorithm(SEED, **FULL["5"], n=1024, p_val=101)
     _report("5", res, time.time() - t0)
     assert res["mutation_caught"]
     assert res["k_star_max"] <= 26  # ceil(log_{4/3} 1024) + 1
@@ -58,25 +59,25 @@ def test_criterion_5_fibre_algorithm():
 
 def test_criterion_6_exhaustive_matrix_checks():
     t0 = time.time()
-    res = acc.check_exhaustive_matrix(SEED, match_cases=50, block_cases=50)
+    res = acc.check_exhaustive_matrix(SEED, **FULL["6"])
     _report("6", res, time.time() - t0, budget=300)
 
 
 def test_criterion_7_identity_suite():
     t0 = time.time()
-    res = acc.check_identities(SEED, 200, 100, 100, 50)
+    res = acc.check_identities(SEED, **FULL["7"])
     _report("7", res, time.time() - t0)
 
 
 def test_criterion_8_rho_inequalities():
     t0 = time.time()
-    res = acc.check_rho_inequalities(SEED, cases=500)
+    res = acc.check_rho_inequalities(SEED, **FULL["8"])
     _report("8", res, time.time() - t0)
 
 
 def test_criterion_9_monte_carlo_consistency():
     t0 = time.time()
-    res = acc.check_monte_carlo(SEED, exact_trials=10**6, trend_trials=10**5, trend_max_n=16)
+    res = acc.check_monte_carlo(SEED, **FULL["9"])
     _report("9", res, time.time() - t0, budget=600)
     assert res["interval_misses"] <= 1
     assert res["monotone_decay"]

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rholab import anticoncentration as ac
-from rholab.errors import PreconditionViolated, RangeTooLarge
+from rholab.errors import GuardExceeded, PreconditionViolated, RangeTooLarge
 from rholab.rng import substream
-from rholab.zp_core import PrimeModulus, ZpVector
+from rholab.zp_core import PrimeModulus, ZpVector, next_prime
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -44,6 +44,13 @@ def test_distribution_total_and_oracle(entries):
     d = ac.distribution_zp(v, P7)
     assert d.total() == 2 ** len(entries)
     assert d.counts == ac.distribution_zp_bruteforce(v, P7).counts
+
+
+def test_distributions_size_guard():
+    big = next_prime(10**9)
+    for law in (ac.distribution_zp, ac.distribution_half):
+        with pytest.raises(GuardExceeded):
+            law(ZpVector((1, 2, 3)), big)
 
 
 def test_rho_zero_vector_is_one():

@@ -12,6 +12,15 @@ QUICK_DIGESTS = {
     "record.json": "d95ef411fdf6ccdf6a0afd6942e27b1d2b54daabc86d88e2fc69ea05b41b637f",
 }
 
+# sha256 of certificate-layer JSON artifacts: every Y, U, B, rho(v_Y) and
+# fibre step they record must survive refactors byte for byte.
+CERTIFICATE_DIGESTS = {
+    ("container", "--n", "512", "--count", "3", "--seed", "1"):
+        "7dfbae9b0ac79457d9fc950ba14d22308c3549a0d4eef7af3fdda2830c0af063",
+    ("fibre", "--n", "512", "--count", "2", "--seed", "1"):
+        "8db257c8cae1df1a86fef70bea9945f5cd5a4dc137de831b50ba14922f0a2423",
+}
+
 
 def run(capsys, argv):
     code = cli_dispatch(argv)
@@ -27,6 +36,28 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_missing_args_exit_2(capsys):
     code, _, _ = run(capsys, ["singularity"])  # missing --n
     assert code == 2
+
+
+def test_unread_options_are_rejected(tmp_path, capsys):
+    vf = tmp_path / "v.txt"
+    vf.write_text("p=5; 1 1\n")
+    # every option a subcommand would ignore (rho --seed 1, ...) is a usage
+    # error; the base arguments alone run cleanly, so the 2 comes from it
+    unread = {
+        ("rho", "--vectors", str(vf)): ["--seed", "--profile", "--workers"],
+        ("halasz", "--vectors", str(vf)): ["--seed", "--profile", "--workers"],
+        ("container", "--count", "0"): ["--workers"],
+        ("fibre", "--count", "0"): ["--workers"],
+        ("singularity", "--exact", "--n", "2"): ["--profile"],
+        ("identities", "--cases", "1"): ["--profile", "--workers"],
+        ("verify-all", "--quick"): ["--format"],
+    }
+    for base, options in unread.items():
+        if base[0] != "verify-all":
+            assert run(capsys, list(base))[0] == 0, base
+        for option in options:
+            value = "json" if option == "--format" else "1"
+            assert run(capsys, list(base) + [option, value])[0] == 2, (base, option)
 
 
 def test_singularity_exact_prints_fraction(capsys):
@@ -56,6 +87,14 @@ def test_verify_all_quick_artifact_digests(tmp_path, capsys):
     assert got == QUICK_DIGESTS
 
 
+def test_certificate_artifact_digests(tmp_path, capsys):
+    for argv, digest in CERTIFICATE_DIGESTS.items():
+        out = tmp_path / f"{argv[0]}.json"
+        code, _, err = run(capsys, list(argv) + ["--format", "json", "--out", str(out)])
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv[0]
+
+
 def test_rho_subcommand_csv(tmp_path, capsys):
     vf = tmp_path / "v.txt"
     vf.write_text("p=5; 1 1\np=7; 1 2 3\n")
@@ -81,6 +120,14 @@ def test_halasz_subcommand(tmp_path, capsys):
     code, out, _ = run(capsys, ["halasz", "--vectors", str(vf)])
     assert code == 0
     assert "1" in out
+
+
+def test_halasz_past_table_guard_exits_1(tmp_path, capsys):
+    vf = tmp_path / "v.txt"
+    vf.write_text("p=1000000007; 1 2 3\n")
+    code, _, err = run(capsys, ["halasz", "--vectors", str(vf)])
+    assert code == 1
+    assert "failures" in err and "table guard" in err
 
 
 def test_container_subcommand(tmp_path, capsys):

@@ -12,9 +12,9 @@ from rholab.containers import (
     lemma_contain_check,
     level_set,
 )
-from rholab.errors import PreconditionViolated
+from rholab.errors import GuardExceeded, PreconditionViolated
 from rholab.rng import substream
-from rholab.zp_core import PrimeModulus, ZpVector
+from rholab.zp_core import PrimeModulus, ZpVector, next_prime, term_weight
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -69,6 +69,25 @@ def test_frequency_set_ones_20():
 def test_container_empty_and_zero_frequency():
     assert container(set(), P7).members == set(range(7))
     assert container({0}, P7).members == set(range(7))
+
+
+def test_container_matches_definition():
+    # C(S) = {a : 32 Sum_{k in S} ||a k / p||^2 <= |S|}, summed term by term
+    p = PrimeModulus(31)
+    for i in range(20):
+        g = substream(23, "cdef", i)
+        size = int(g.integers(1, 31))
+        s = frozenset(int(x) for x in g.choice(31, size=size, replace=False))
+        want = {
+            a for a in range(31)
+            if 32 * sum(term_weight(a * k % 31, p) for k in s) <= len(s) * 31 * 31
+        }
+        assert container(s, p).members == want
+
+
+def test_level_set_size_guard():
+    with pytest.raises(GuardExceeded):
+        level_set(ZpVector((1, 2, 3)), 1, next_prime(10**9))
 
 
 def test_container_size_bound_random():

@@ -228,6 +228,19 @@ def test_odlyzko_examples():
         ml.odlyzko_check([(1, 2), (2, 4)], 2, P5)
 
 
+def test_odlyzko_int64_guard():
+    # span{(1, -1)} holds both (1, -1) and (-1, 1); int64 reduction at
+    # p ~ 2^40 overflowed and counted only one of them
+    with pytest.raises(GuardExceeded):
+        ml.odlyzko_check([(1, -1)], 2, next_prime(2**40))
+    p = math.isqrt(2**63)
+    while not ((p - 1) * p < 2**63 and is_prime_u64(p)):
+        p -= 1
+    assert ml.odlyzko_check([(1, p - 1)], 2, PrimeModulus(p)) == (2, True)
+    with pytest.raises(GuardExceeded):
+        ml.odlyzko_check([(1, p - 1)], 2, next_prime(p + 1))
+
+
 def test_odlyzko_standard_like_basis():
     # k standard basis vectors: exactly the sign patterns on those coords
     # never lie in the span unless the other coordinates vanish -> count 0

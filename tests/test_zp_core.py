@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rholab.errors import PreconditionViolated
+from rholab.errors import GuardExceeded, PreconditionViolated
 from rholab.zp_core import (
+    TABLE_CELL_GUARD,
     PrimeModulus,
     ZpVector,
+    check_table_size,
     is_prime_u64,
     level_mask,
+    level_members,
     next_prime,
     term_weight,
     weight_table,
@@ -74,6 +77,7 @@ def test_level_mask_exact_threshold():
     p = PrimeModulus(5)
     # 2/25 <= 1/10 iff 20 <= 25
     assert level_mask(np.array([2, 3]), Fraction(1, 10), p).tolist() == [True, False]
+    assert level_members(np.array([2, 3, 0]), Fraction(1, 10), p) == {0, 2}
     # a cap past int64 still compares exactly
     assert level_mask(np.array([2**62]), Fraction(2**70, 3), p).all()
 
@@ -111,6 +115,16 @@ def test_weight_table_matches_scalar():
     for k in range(13):
         expected = sum(term_weight(k * e % p.p, p) for e in v.entries)
         assert int(table[k]) == expected
+
+
+def test_table_size_guard():
+    p = PrimeModulus(101)
+    check_table_size(TABLE_CELL_GUARD // 101, p)
+    check_table_size(128, PrimeModulus(1009))
+    with pytest.raises(GuardExceeded):
+        check_table_size(TABLE_CELL_GUARD // 101 + 1, p)
+    with pytest.raises(GuardExceeded):
+        weight_table(ZpVector(()), next_prime(TABLE_CELL_GUARD + 1))
 
 
 # Scalar inequality scans backing the container-size argument.  The grid is
