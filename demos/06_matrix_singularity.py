@@ -14,8 +14,8 @@ from rholab import PrimeModulus, ZpVector
 from rholab import matrix_lab as ml
 from rholab.rng import substream
 
-print("exact singularity probabilities by full enumeration:")
-for n in range(1, 6):
+print("exact singularity probabilities, one matrix per switching class:")
+for n in range(1, 7):
     val = ml.singularity_exact(n)
     print(f"  n = {n}: {val} = {float(val):.6f}")
 print()

@@ -19,7 +19,7 @@ from . import anticoncentration as ac
 from . import matrix_lab as ml
 from .containers import container, gen_gap_vector, lemma_contain_check, level_set
 from .errors import PreconditionViolated, RetryExhausted
-from .fibres import audit_trace, run_fibre, trace_fingerprint
+from .fibres import audit_trace, run_fibre
 from .inverse_lo import DESK_PROFILE, build_container, verify_certificate
 from .rng import substream
 from .zp_core import PrimeModulus, ZpVector
@@ -365,30 +365,6 @@ def check_monte_carlo(
         "monotone_decay": monotone,
         "intervals": interval_rows,
         "trend": trend,
-    }
-
-
-def check_fibre_count(seed: int, cases: int = 200, n: int = 128, p_val: int = 31) -> dict:
-    """Side experiment: distinct observed fibres vs the counting bound."""
-    p = PrimeModulus(p_val)
-    prints = set()
-    for i in range(cases):
-        g = substream(seed, "fibre-count", i)
-        c = int(g.integers(1, p.p))
-        v = ZpVector((c,) * n)
-        trace = run_fibre(v, p, DESK_PROFILE, g)
-        prints.add(trace_fingerprint(trace))
-    from .fibres import fibre_count_bound
-
-    bound = fibre_count_bound(n, p, DESK_PROFILE)
-    distinct = len(prints)
-    ok = math.log(max(distinct, 1)) <= bound["log_bound"]
-    return {
-        "name": "fibre_count_experiment",
-        "ok": ok,
-        "distinct_fibres": distinct,
-        "log_bound": bound["log_bound"],
-        "cases": cases,
     }
 
 

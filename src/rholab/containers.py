@@ -33,7 +33,8 @@ _GAP_ENUM_GUARD = 10**6
 
 @dataclass(frozen=True)
 class LevelSetQuery:
-    """T_t(v): threshold, members, and the exact weight table behind them."""
+    """T_t(v): the vector v, the threshold t and the member set; the weight
+    table that decided membership is not kept."""
 
     v: ZpVector
     t: Fraction

@@ -199,27 +199,24 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % p)
     b, n, _ = a.shape
     rank = np.zeros(b, dtype=np.int64)
-    row = np.zeros(b, dtype=np.int64)
     bidx = np.arange(b)
-    idx = np.arange(n)[None, :]
     for col in range(n):
-        nz = a[:, :, col] != 0
-        cand = nz & (idx >= row[:, None])
+        # Rows from a matrix's pivot row `rank` down are zero left of col, and
+        # rows above the batch's lowest pivot row are finished, so each step
+        # swaps and updates only the trailing block a[:, lo:, col:].
+        lo = int(rank.min()) if b else 0
+        t = a[:, lo:, col:]
+        r = rank - lo
+        idx = np.arange(n - lo)[None, :]
+        cand = (t[:, :, 0] != 0) & (idx >= r[:, None])
         has = cand.any(axis=1)
-        piv = np.where(has, cand.argmax(axis=1), 0)
-        r0 = row
-        rows_a = a[bidx, r0, :].copy()
-        rows_p = a[bidx, piv, :].copy()
-        a[bidx[has], r0[has], :] = rows_p[has]
-        a[bidx[has], piv[has], :] = rows_a[has]
-        app = a[bidx, r0, col]
-        below = idx > r0[:, None]
-        fac = a[:, :, col]
-        em = below & has[:, None] & (fac != 0)
-        pivot_rows = a[bidx, r0, :]
-        upd = (app[:, None, None] * a - fac[:, :, None] * pivot_rows[:, None, :]) % p
-        a = np.where(em[:, :, None], upd, a)
-        row = row + has
+        hb, hr, hp = bidx[has], r[has], cand[has].argmax(axis=1)
+        t[hb, hr], t[hb, hp] = t[hb, hp], t[hb, hr]
+        pivot_rows = t[bidx, r]
+        fac = t[:, :, 0]
+        em = (idx > r[:, None]) & has[:, None] & (fac != 0)
+        upd = (pivot_rows[:, None, :1] * t - fac[:, :, None] * pivot_rows[:, None, :]) % p
+        np.copyto(t, upd, where=em[:, :, None])
         rank = rank + has
     return rank
 
@@ -230,14 +227,23 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 def singularity_exact(n: int) -> Fraction:
-    """Exact Pr(det M_n = 0) by enumerating all 2^{n(n+1)/2} sign matrices."""
+    """Exact Pr(det M_n = 0), from one matrix per switching class.
+
+    Switching M -> s D M D (D diagonal +-1, s = +-1) gives det(s D M D) =
+    s^n det M, so it keeps singularity.  Every entry of M is nonzero, so the
+    action is free: its 2^n distinct maps (D and -D act alike) move M to 2^n
+    distinct matrices.  Each class has exactly one member whose first row is
+    all +1 (s = m_11, then d_j = s d_1 m_1j), so the singular fraction of the
+    2^{n(n-1)/2} matrices with that first row is Pr(det M_n = 0).
+    """
     if not 1 <= n <= _EXACT_ENUM_GUARD:
         raise GuardExceeded(f"exhaustive enumeration guard is n <= {_EXACT_ENUM_GUARD}")
     # single residue is exact here: n <= 6 gives |det| <= 6^3 < screen prime
     singular = sum(
-        int((batch_rank_mod_p(mats, _SCREEN_PRIME) < n).sum()) for mats in _sym_chunks(n)
+        int((batch_rank_mod_p(mats, _SCREEN_PRIME) < n).sum())
+        for mats in _sym_chunks(n, fixed=n)
     )
-    return Fraction(singular, 1 << (n * (n + 1) // 2))
+    return Fraction(singular, 1 << (n * (n - 1) // 2))
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -331,16 +337,20 @@ def singularity_mc_sharded(
 # ---------------------------------------------------------------------------
 
 
-def _sym_chunks(n: int):
-    """All 2^{n(n+1)/2} symmetric sign matrices in index order, as [B, n, n] chunks.
+def _sym_chunks(n: int, fixed: int = 0):
+    """Symmetric sign matrices in index order, as [B, n, n] chunks.
 
-    Matrix idx takes bit j of idx as its j-th packed upper-triangle entry.
+    Matrix idx takes bit j of idx as its j-th packed (row-major) upper-triangle
+    entry.  The chunks hold every idx whose packed bits 0..fixed-1 are set, so
+    fixed=0 gives all 2^{n(n+1)/2} matrices and fixed=n those whose first row
+    is all +1.
     """
     m = n * (n + 1) // 2
-    total = 1 << m
+    total = 1 << (m - fixed)
     chunk = 1 << 16
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64) << fixed
+        idx |= (1 << fixed) - 1
         yield _bits_to_sym((idx[:, None] >> np.arange(m)[None, :]) & 1, n)
 
 

@@ -66,6 +66,12 @@ def test_singularity_exact_prints_fraction(capsys):
     assert out.strip() == "1/2"
 
 
+def test_singularity_exact_n6_by_switching_classes(capsys):
+    code, out, _ = run(capsys, ["singularity", "--exact", "--n", "6"])
+    assert code == 0
+    assert out.strip() == "3543/8192"
+
+
 def test_singularity_exact_requires_mode_choice(capsys):
     code, _, err = run(capsys, ["singularity", "--n", "2"])
     assert code == 2

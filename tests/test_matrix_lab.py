@@ -92,6 +92,46 @@ def test_batch_rank_matches_scalar():
         assert int(ranks[i]) == ml.rank_mod_p(mats[i], 2**31 - 1)
 
 
+def _low_rank_symmetric(g, n, p):
+    """Symmetric n x n matrix over F_p whose rows and columns are copies of a
+    smaller random symmetric core, or zero: low rank, with pivot-free columns."""
+    k = int(g.integers(1, n + 1))
+    core = g.integers(0, p, size=(k, k))
+    core = (core + core.T) % p
+    src = g.integers(-1, k, size=n)  # -1 marks a zero row and column
+    full = np.zeros((k + 1, k + 1), dtype=np.int64)
+    full[:k, :k] = core
+    return full[np.ix_(src, src)]
+
+
+def test_batch_rank_low_rank_batches():
+    # zero and repeated columns leave columns without a pivot, so each
+    # matrix's pivot row falls behind col and the batch's pivot rows differ
+    for p in (5, 7):
+        for n in range(1, 9):
+            g = substream(52, f"batch-low-rank-{p}", n)
+            mats = np.array([_low_rank_symmetric(g, n, p) for _ in range(120)])
+            ranks = ml.batch_rank_mod_p(mats, p)
+            want = [ml.rank_mod_p(m, p) for m in mats]
+            assert ranks.tolist() == want, (p, n)
+            if n >= 3:
+                assert min(want) < max(want)
+
+
+def test_batch_rank_planted_duplicates():
+    p = 2**31 - 1
+    for n in (2, 6, 11, 16, 20):
+        g = substream(52, "batch-planted", n)
+        mats = ml._bits_to_sym(g.integers(0, 2, size=(60, n * (n + 1) // 2)), n)
+        for m in mats[::2]:
+            i, j = g.choice(n, size=2, replace=False)
+            m[j, :] = m[i, :]
+            m[:, j] = m[:, i]
+        ranks = ml.batch_rank_mod_p(mats, p)
+        assert ranks.tolist() == [ml.rank_mod_p(m, p) for m in mats]
+        assert (ranks[::2] < n).all()
+
+
 def _largest_batch_prime():
     # largest prime p with (p - 1)^2 < 2^63
     p = math.isqrt(2**63 - 1) + 1
@@ -147,6 +187,42 @@ def test_singularity_exact_frozen_values():
     assert ml.singularity_exact(3) == Fraction(1, 2)
     assert ml.singularity_exact(4) == Fraction(1, 2)
     assert ml.singularity_exact(5) == Fraction(31, 64)
+    # equal to the count over a full enumeration of all 2^21 matrices
+    assert ml.singularity_exact(6) == Fraction(3543, 8192)
+
+
+def test_singularity_exact_matches_full_enumeration():
+    for n in range(1, 6):
+        mats = np.concatenate(list(ml._sym_chunks(n)))
+        assert len(mats) == 1 << (n * (n + 1) // 2)
+        singular = sum(ml.det_bareiss(m) == 0 for m in mats)
+        assert ml.singularity_exact(n) == Fraction(singular, len(mats)), n
+
+
+def test_sym_chunks_switching_representatives():
+    for n in range(1, 6):
+        mats = np.concatenate(list(ml._sym_chunks(n, fixed=n)))
+        assert len(mats) == 1 << (n * (n - 1) // 2)
+        assert len({m.tobytes() for m in mats}) == len(mats)
+        assert (mats[:, 0, :] == 1).all()
+
+
+_SWITCHED = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 1), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2),
+        st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
+        st.sampled_from((-1, 1)),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SWITCHED)
+def test_switching_keeps_determinant_up_to_sign(case):
+    bits, d, s = case
+    m = ml._bits_to_sym(np.array([bits]), len(d))[0]
+    dm = np.diag(d)
+    assert ml.det_bareiss(s * dm @ m @ dm) == s ** len(d) * ml.det_bareiss(m)
 
 
 def test_singularity_exact_guard():
