@@ -10,12 +10,7 @@ Three upper bounds on rho(v), all driven by exact level-set sizes:
 The script compares them against exact rho for vectors of varying structure.
 """
 
-from rholab import PrimeModulus, ZpVector, rho
-from rholab.anticoncentration import (
-    halasz_bound,
-    halasz_first_bound,
-    halasz_second_bound,
-)
+from rholab import PrimeModulus, ZpVector, halasz_chain
 from rholab.rng import substream
 
 p = PrimeModulus(101)
@@ -33,12 +28,10 @@ vectors = {
 print(f"p = {p.p}, n = {n}; ell = 2 (valid range is 1 <= ell <= |v|/64)")
 print(f"{'vector':22s} {'rho':>10s} {'first':>10s} {'second':>10s} {'final':>10s}")
 for label, v in vectors.items():
-    r = float(rho(v, p).value)
-    b1 = halasz_first_bound(v, p)
-    b2 = halasz_second_bound(v, 2, p)
-    b3 = halasz_bound(v, 2, p)
-    assert r <= b1 + 1e-12 and r <= b2 + 1e-12 and r <= b3 + 1e-12
-    print(f"{label:22s} {r:10.5f} {b1:10.5f} {b2:10.5f} {b3:10.5f}")
+    chain = halasz_chain(v, p)  # one weight table, every bound and ell
+    _, b2, b3 = chain.levels[1]  # ell = 2
+    assert chain.holds(chain.first) and chain.holds(b2) and chain.holds(b3)
+    print(f"{label:22s} {chain.rho:10.5f} {chain.first:10.5f} {b2:10.5f} {b3:10.5f}")
 
 print()
 print("all bounds dominate exact rho; structured vectors sit closer to them")

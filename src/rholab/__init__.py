@@ -12,6 +12,7 @@ from .anticoncentration import (
     cauchy_davenport_check,
     distribution_zp,
     halasz_bound,
+    halasz_chain,
     halasz_first_bound,
     halasz_second_bound,
     rho,

@@ -118,15 +118,11 @@ def check_halasz_chain(seed: int, cases: int) -> dict:
         head = g.integers(1, p.p, size=64)
         tail = g.integers(0, p.p, size=n - 64)
         v = ZpVector(tuple(int(x) for x in head) + tuple(int(x) for x in tail))
-        r = float(ac.rho(v, p).value)
-        if r > ac.halasz_first_bound(v, p) + ac.FLOAT_SLACK:
-            bad += 1
-        for ell in range(1, v.support_size // 64 + 1):
+        chain = ac.halasz_chain(v, p)
+        bad += 0 if chain.holds(chain.first) else 1
+        for _, second, final in chain.levels:
             checked += 1
-            if r > ac.halasz_second_bound(v, ell, p) + ac.FLOAT_SLACK:
-                bad += 1
-            if r > ac.halasz_bound(v, ell, p) + ac.FLOAT_SLACK:
-                bad += 1
+            bad += (not chain.holds(second)) + (not chain.holds(final))
     return {"name": "halasz_chain", "ok": bad == 0, "cases": cases, "ell_checks": checked, "violations": bad}
 
 
@@ -239,6 +235,15 @@ def check_exhaustive_matrix(seed: int, match_cases: int, block_cases: int) -> di
     }
 
 
+def _symmetric_of_rank(rng, d: int, rank: int, p: PrimeModulus):
+    """Rejection-sample a symmetric d x d matrix mod p of the given rank."""
+    while True:
+        m = rng.integers(0, p.p, size=(d, d))
+        m = (m + m.T) % p.p
+        if ml.rank_mod_p(m, p) == rank:
+            return m
+
+
 def check_identities(
     seed: int,
     decouple_cases: int,
@@ -252,12 +257,7 @@ def check_identities(
         g = substream(seed, "c7-decouple-id", i)
         p = PrimeModulus([5, 7, 13][int(g.integers(0, 3))])
         d = int(g.integers(1, 8))
-        # rejection-sample an invertible symmetric matrix
-        while True:
-            m = g.integers(0, p.p, size=(d, d))
-            m = (m + m.T) % p.p
-            if ml.rank_mod_p(m, p) == d:
-                break
+        m = _symmetric_of_rank(g, d, d, p)
         u = g.integers(0, 2, size=d) * 2 - 1
         u2 = g.integers(0, 2, size=d) * 2 - 1
         mask = g.random(d) < 0.5
@@ -291,11 +291,7 @@ def check_identities(
         g = substream(seed, "c7-adjugate", i)
         p = PrimeModulus(7)
         d = int(g.integers(2, 6))
-        while True:
-            m = g.integers(0, p.p, size=(d, d))
-            m = (m + m.T) % p.p
-            if ml.rank_mod_p(m, p) == d - 1:
-                break
+        m = _symmetric_of_rank(g, d, d - 1, p)
         if not ml.adjugate_rank1_check(m, p).ok:
             bad["adjugate"] += 1
     total = sum(bad.values())

@@ -11,8 +11,10 @@ two-point convolutions.  Every comparison between two such probabilities is
 an integer comparison; no atom probability is ever a float.
 
 The bound side (Halasz chain) is evaluated in doubles from exact level-set
-cardinalities; callers comparing rho against a bound allow a fixed 1e-12
-slack, orders below any gap seen at these scales.
+cardinalities.  All three bounds read one weight table W(k), k in Z_p;
+`halasz_chain` builds it once per vector and evaluates every bound from it.
+Callers comparing rho against a bound allow a fixed 1e-12 slack, orders
+below any gap seen at these scales.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class ExactDistribution:
     counts: dict[int, int]
     log2_denominator: int
 
-    def probability(self, atom: int) -> Fraction:
-        return Fraction(self.counts.get(atom, 0), 2**self.log2_denominator)
-
     def total(self) -> int:
         return sum(self.counts.values())
 
@@ -67,19 +66,10 @@ class RhoResult:
     def value(self) -> Fraction:
         return Fraction(self.count, 2**self.log2_denominator)
 
-    def __float__(self) -> float:
-        return self.count / 2**self.log2_denominator
-
 
 def _max_atom(dist: ExactDistribution) -> RhoResult:
-    best_atom = None
-    best = -1
-    for atom in sorted(dist.counts):
-        c = dist.counts[atom]
-        if c > best:
-            best = c
-            best_atom = atom
-    return RhoResult(best_atom, best, dist.log2_denominator)
+    atom = min(dist.counts, key=lambda a: (-dist.counts[a], a))
+    return RhoResult(atom, dist.counts[atom], dist.log2_denominator)
 
 
 def distribution_zp(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
@@ -185,20 +175,20 @@ def level_counts(v: ZpVector, p: PrimeModulus) -> np.ndarray:
     return weight_table(v, p)
 
 
-def halasz_first_bound(v: ZpVector, p: PrimeModulus) -> float:
+def halasz_first_bound(weights: np.ndarray, p: PrimeModulus) -> float:
     """(1/p) Sum_k exp(-W(k)/p^2) with W(k) exact; upper bounds rho(v)."""
     pp = float(p.p * p.p)
-    return sum(math.exp(-w / pp) for w in level_counts(v, p)) / p.p
+    return sum(math.exp(-w / pp) for w in weights) / p.p
 
 
-def halasz_second_bound(v: ZpVector, ell, p: PrimeModulus) -> float:
+def halasz_second_bound(weights: np.ndarray, ell, p: PrimeModulus) -> float:
     """1/p + (e/p) Sum_{t=1}^{ceil(ell)} e^-t |T_t(v)| + e^-ell, for v != 0."""
-    if v.support_size == 0:
+    # W(1) > 0 iff some v_i != 0
+    if not weights.any():
         raise PreconditionViolated("second bound needs v != 0 (T_0 = {0})")
     ellf = Fraction(ell)
     if ellf < 1:
         raise PreconditionViolated("ell must be >= 1")
-    weights = level_counts(v, p)
     total = 1.0 / p.p
     for t in range(1, math.ceil(ellf) + 1):
         size_t = int(level_mask(weights, t, p).sum())
@@ -206,19 +196,37 @@ def halasz_second_bound(v: ZpVector, ell, p: PrimeModulus) -> float:
     return total + math.exp(-float(ellf))
 
 
-def halasz_bound(v: ZpVector, ell, p: PrimeModulus) -> float:
+def halasz_bound(weights: np.ndarray, support: int, ell, p: PrimeModulus) -> float:
     """3/p + 4 |T_ell(v)| / (p sqrt(ell)) + e^-ell, for 1 <= ell <= |v|/64."""
     # float thresholds are frozen to their exact binary rational
     ellf = Fraction(ell)
-    if v.support_size == 0:
+    if not weights.any():
         raise PreconditionViolated("bound needs v != 0")
-    if not (1 <= ellf and 64 * ellf <= v.support_size):
-        raise PreconditionViolated(
-            f"need 1 <= ell <= |v|/64, got ell={ellf}, |v|={v.support_size}"
-        )
-    size_ell = int(level_mask(level_counts(v, p), ellf, p).sum())
+    if not (1 <= ellf and 64 * ellf <= support):
+        raise PreconditionViolated(f"need 1 <= ell <= |v|/64, got ell={ellf}, |v|={support}")
+    size_ell = int(level_mask(weights, ellf, p).sum())
     le = float(ellf)
     return 3.0 / p.p + 4.0 * size_ell / (p.p * math.sqrt(le)) + math.exp(-le)
+
+
+@dataclass(frozen=True)
+class HalaszChain:
+    """rho(v) as a float and its bounds; levels = ((ell, second, final) for ell = 1..|v|//64)."""
+
+    rho: float
+    first: float
+    levels: tuple[tuple[int, float, float], ...]
+
+    def holds(self, bound: float) -> bool:
+        return self.rho <= bound + FLOAT_SLACK
+
+
+def halasz_chain(v: ZpVector, p: PrimeModulus) -> HalaszChain:
+    """rho(v), the first bound, and the second and final bound at every ell."""
+    w, s = level_counts(v, p), v.support_size
+    levels = tuple((ell, halasz_second_bound(w, ell, p), halasz_bound(w, s, ell, p))
+                   for ell in range(1, s // 64 + 1))
+    return HalaszChain(float(rho(v, p).value), halasz_first_bound(w, p), levels)
 
 
 # ---------------------------------------------------------------------------

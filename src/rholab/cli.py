@@ -158,20 +158,17 @@ def cmd_halasz(args) -> int:
     for idx, (p, v) in enumerate(vectors):
         if v.support_size == 0:
             continue
-        r = float(ac.rho(v, p).value)
-        first = ac.halasz_first_bound(v, p)
-        ok1 = r <= first + ac.FLOAT_SLACK
+        chain = ac.halasz_chain(v, p)
+        r, first = repr(chain.rho), repr(chain.first)
+        ok1 = chain.holds(chain.first)
         bad += 0 if ok1 else 1
-        max_ell = v.support_size // 64
-        for ell in range(1, max_ell + 1):
-            second = ac.halasz_second_bound(v, ell, p)
-            final = ac.halasz_bound(v, ell, p)
-            ok = r <= second + ac.FLOAT_SLACK and r <= final + ac.FLOAT_SLACK
+        for ell, second, final in chain.levels:
+            ok = chain.holds(second) and chain.holds(final)
             bad += 0 if ok else 1
             rows.append([idx, p.p, v.support_size, ell,
-                         repr(r), repr(first), repr(second), repr(final), ok1 and ok])
-        if max_ell < 1:
-            rows.append([idx, p.p, v.support_size, "", repr(r), repr(first), "", "", ok1])
+                         r, first, repr(second), repr(final), ok1 and ok])
+        if not chain.levels:
+            rows.append([idx, p.p, v.support_size, "", r, first, "", "", ok1])
     _emit(args, header, rows, {"rows": [dict(zip(header, row)) for row in rows]})
     if bad:
         print(failure_report({"halasz_violations": bad}), file=sys.stderr)

@@ -56,9 +56,6 @@ class ContainerSet:
     def size(self) -> int:
         return len(self.members)
 
-    def __contains__(self, a: int) -> bool:
-        return a in self.members
-
 
 def frozen_log_threshold(p: PrimeModulus) -> Fraction:
     """log p evaluated once in double precision, then exact thereafter."""

@@ -168,11 +168,14 @@ def _y_failures(v: ZpVector, y, ell, t8, p: PrimeModulus):
         yield "T_ell(v_Y) escapes T_8ell(v)"
 
 
-def _u_failures(v: ZpVector, u, m: int, t8, tt, p: PrimeModulus):
-    """Lazily yield the failed U-properties, in order; a sampler stops at the first."""
+def _u_failures(u, m: int, t8, tt, f_of):
+    """Lazily yield the failed U-properties, in order; a sampler stops at the first.
+
+    F(v_U) = f_of() is computed only once |U| <= m has been tested.
+    """
     if len(u) > m:
         yield "sizeU exceeds m"
-    f = frequency_set(v.restrict(u), p)
+    f = f_of()
     if not f <= tt:
         yield "F(v_U) escapes T_t(v)"
     if len(t8) > 2 * len(f):
@@ -214,7 +217,7 @@ def sample_U_with_attempts(
     _, t8, tt = _levels(v, p, profile)
     for attempt in range(1, profile.max_attempts + 1):
         u = _mask_subset(len(v), density, rng)
-        if next(_u_failures(v, u, m, t8, tt, p), None) is None:
+        if next(_u_failures(u, m, t8, tt, lambda: frequency_set(v.restrict(u), p)), None) is None:
             return u, attempt
     raise RetryExhausted(
         f"U sampler exhausted {profile.max_attempts} attempts (profile {profile.name})"
@@ -299,8 +302,8 @@ def verify_certificate(
     y, u = cert.y, cert.u
     ell, t8, tt = _levels(v, p, profile)
     failures = list(_y_failures(v, y, ell, t8, p))
-    failures += _u_failures(v, u, profile.m(p), t8, tt, p)
     f = frequency_set(v.restrict(u), p)
+    failures += _u_failures(u, profile.m(p), t8, tt, lambda: f)
     if container(f, p).members != cert.b.members or cert.b.s != f:
         failures.append("B is not the container of F(v_U)")
     vy = v.restrict(y)

@@ -82,7 +82,7 @@ def next_prime(x: int) -> "PrimeModulus":
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """A prime p > 3 with a residue helper."""
+    """A prime p > 3."""
 
     p: int
 
@@ -91,10 +91,6 @@ class PrimeModulus:
             raise PreconditionViolated(f"modulus must exceed 3, got {self.p}")
         if not is_prime_u64(self.p):
             raise PreconditionViolated(f"{self.p} is not prime")
-
-    def residue(self, x: int) -> int:
-        """Canonical representative of x in {0, ..., p-1}."""
-        return x % self.p
 
     def __int__(self) -> int:
         return self.p

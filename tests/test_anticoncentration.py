@@ -128,11 +128,12 @@ def test_rho_half_equals_doubled_vector():
 
 
 def test_halasz_first_bound_zero_vector():
-    assert ac.halasz_first_bound(ZpVector((0, 0, 0)), P5) == 1.0
+    v = ZpVector((0, 0, 0))
+    assert ac.halasz_first_bound(ac.level_counts(v, P5), P5) == 1.0
 
 
 def test_halasz_first_bound_single_entry():
-    got = ac.halasz_first_bound(ZpVector((1,)), P5)
+    got = ac.halasz_first_bound(ac.level_counts(ZpVector((1,)), P5), P5)
     want = (1 + 2 * math.exp(-1 / 25) + 2 * math.exp(-4 / 25)) / 5
     assert abs(got - want) < 1e-15
 
@@ -142,38 +143,66 @@ def test_halasz_first_bound_dominates_rho():
         g = substream(13, "h1", i)
         n = int(g.integers(1, 12))
         v = ZpVector(tuple(int(x) for x in g.integers(0, 101, size=n)))
-        assert float(ac.rho(v, P101).value) <= ac.halasz_first_bound(v, P101) + ac.FLOAT_SLACK
+        first = ac.halasz_first_bound(ac.level_counts(v, P101), P101)
+        assert float(ac.rho(v, P101).value) <= first + ac.FLOAT_SLACK
 
 
 def test_halasz_second_bound_hand_expanded():
-    v = ZpVector((1, 2))
+    w = ac.level_counts(ZpVector((1, 2)), P7)
     # T_1((1,2), 7) = Z_7: every weight sum is at most (9+9)/49 < 1
     want = 1 / 7 + math.e / 7 * math.exp(-1) * 7 + math.exp(-1)
-    assert abs(ac.halasz_second_bound(v, 1, P7) - want) < 1e-15
-    assert ac.halasz_second_bound(v, 1, P7) >= 1 / 7
+    assert abs(ac.halasz_second_bound(w, 1, P7) - want) < 1e-15
+    assert ac.halasz_second_bound(w, 1, P7) >= 1 / 7
 
 
 def test_halasz_second_bound_rejects_zero():
     with pytest.raises(PreconditionViolated):
-        ac.halasz_second_bound(ZpVector((0,)), 1, P7)
+        ac.halasz_second_bound(ac.level_counts(ZpVector((0,)), P7), 1, P7)
 
 
 def test_halasz_bound_preconditions():
+    p = PrimeModulus(13)
     v = ZpVector((1,) * 64)
+    w = ac.level_counts(v, p)
     with pytest.raises(PreconditionViolated):
-        ac.halasz_bound(v, 2, PrimeModulus(13))  # ell > |v|/64
+        ac.halasz_bound(w, v.support_size, 2, p)  # ell > |v|/64
     with pytest.raises(PreconditionViolated):
-        ac.halasz_bound(v, Fraction(1, 2), PrimeModulus(13))  # ell < 1
+        ac.halasz_bound(w, v.support_size, Fraction(1, 2), p)  # ell < 1
+    zero = ZpVector((0,) * 64)
     with pytest.raises(PreconditionViolated):
-        ac.halasz_bound(ZpVector((0,) * 64), 1, PrimeModulus(13))
+        ac.halasz_bound(ac.level_counts(zero, p), zero.support_size, 1, p)
 
 
 def test_halasz_bound_all_ones_64():
     p = PrimeModulus(13)
     v = ZpVector((1,) * 64)
-    b = ac.halasz_bound(v, 1, p)
+    b = ac.halasz_bound(ac.level_counts(v, p), v.support_size, 1, p)
     assert b >= 3 / 13
     assert float(ac.rho(v, p).value) <= b + ac.FLOAT_SLACK
+
+
+def test_halasz_chain_matches_direct_bounds():
+    levels_seen = 0
+    for i in range(20):
+        g = substream(15, "chain", i)
+        p = PrimeModulus([5, 7, 13, 101, 1009][int(g.integers(0, 5))])
+        n = int(g.integers(0, 200))
+        v = ZpVector(tuple(int(x) for x in g.integers(0, p.p, size=n)))
+        chain = ac.halasz_chain(v, p)
+        w = ac.level_counts(v, p)
+        assert chain.rho == float(ac.rho(v, p).value)
+        assert chain.first == ac.halasz_first_bound(w, p)
+        assert [ell for ell, _, _ in chain.levels] == list(range(1, v.support_size // 64 + 1))
+        for ell, second, final in chain.levels:
+            assert second == ac.halasz_second_bound(w, ell, p)
+            assert final == ac.halasz_bound(w, v.support_size, ell, p)
+        levels_seen += len(chain.levels)
+    assert levels_seen > 0
+
+
+def test_halasz_chain_zero_vector_has_first_bound_only():
+    chain = ac.halasz_chain(ZpVector((0,) * 70), P7)
+    assert (chain.rho, chain.first, chain.levels) == (1.0, 1.0, ())
 
 
 def test_sumset_level_check_trivial_and_example():

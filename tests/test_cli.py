@@ -21,6 +21,23 @@ CERTIFICATE_DIGESTS = {
         "8db257c8cae1df1a86fef70bea9945f5cd5a4dc137de831b50ba14922f0a2423",
 }
 
+# sha256 of the `rho` and `halasz` artifacts for CHAIN_VECTORS: ell runs
+# through 1..3, a support below 64 gives a row with empty bound columns, and
+# the zero vector is skipped by `halasz`.
+CHAIN_VECTORS = [
+    "p=1009; " + " ".join(str(1 + (7 * i * i + 3 * i) % 1008) for i in range(128)),
+    "p=101; " + " ".join(str(1 + (i * i + 37 * i) % 100) for i in range(200)),
+    "p=13; " + " ".join(["1"] * 64),
+    "p=7; " + " ".join(str(1 + i % 6) for i in range(10)),
+    "p=61; 0 0 0 0 0",
+]
+CHAIN_DIGESTS = {
+    ("rho", "csv"): "91d680ac179fa39bd264dab0c34de435e9ef7a7ef323f8d59131fbd4f9620239",
+    ("rho", "json"): "faf4b6e034962c83d96e0cf28caac5533259b3c0800080ccc9350b62f5e223aa",
+    ("halasz", "csv"): "57df8bea5b28e065a077fa057a0cf399e65c8a9d29f6a6c7a659ae39d49207e8",
+    ("halasz", "json"): "44a086d023ad5e0114af1be51a851471a67abcd755c501734f30e5f53dec0e97",
+}
+
 
 def run(capsys, argv):
     code = cli_dispatch(argv)
@@ -99,6 +116,17 @@ def test_certificate_artifact_digests(tmp_path, capsys):
         code, _, err = run(capsys, list(argv) + ["--format", "json", "--out", str(out)])
         assert code == 0, err
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv[0]
+
+
+def test_rho_and_halasz_artifact_digests(tmp_path, capsys):
+    vf = tmp_path / "v.txt"
+    vf.write_text("\n".join(CHAIN_VECTORS) + "\n")
+    for (command, fmt), digest in CHAIN_DIGESTS.items():
+        out = tmp_path / f"{command}.{fmt}"
+        argv = [command, "--vectors", str(vf), "--format", fmt, "--out", str(out)]
+        code, _, err = run(capsys, argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (command, fmt)
 
 
 def test_rho_subcommand_csv(tmp_path, capsys):
