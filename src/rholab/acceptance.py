@@ -36,7 +36,7 @@ def _random_vector(rng, n: int, p: PrimeModulus) -> ZpVector:
 
 
 def check_rho_oracle(seed: int, cases: int) -> dict:
-    """Criterion 1: convolution law == brute-force enumeration, atom for atom."""
+    """Criterion 1: packed-kernel law == brute-force enumeration, atom for atom."""
     bad = 0
     for i in range(cases):
         g = substream(seed, "c1-rho-oracle", i)

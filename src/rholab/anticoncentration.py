@@ -6,9 +6,25 @@ For v in Z_p^n and u uniform on {-1,1}^n, the object of interest is
 
 the largest atom of the signed-sum walk.  The law of the walk is computed
 exactly: atom counts are big integers over the implicit denominator 2^n
-(4^n for the lazy walk where a step is 0 with probability 1/2), built by n
-two-point convolutions.  Every comparison between two such probabilities is
-an integer comparison; no atom probability is ever a float.
+(4^n for the lazy walk where a step is 0 with probability 1/2).  Every
+comparison between two such probabilities is an integer comparison; no atom
+probability is ever a float.
+
+One kernel, `_walk`, builds all three laws.  It holds the law over Z_m as
+one Python int with one byte-aligned limb per residue (Kronecker
+substitution), so the count of residue j is the j-th limb.  Limbs never
+carry: each is wider than log2 of the count total, and at least doubles in
+width (one byte-level repack) whenever that total outgrows it.  A step by
++-e multiplies by x^e + x^-e = x^-e (1 + x^2e) mod x^m - 1, which is one
+shift, one add and a fold of the high limbs onto the low ones; the x^-e
+factors add up to one offset applied on unpacking.  A lazy step,
+x^e + 2 + x^-e = x^-e (1 + x^e)^2, is two steps by x^e.  Classes of equal
++-e are taken largest first.  While the law is still one atom, a class of
+k >= _BLOCK entries joins by one multiplication with the packed binomial row
+of (1 + x^2e)^k (lazy: (1 + x^e)^2k); against a law of many atoms that
+product costs more than the k steps.  The lattice walk over Z is the walk
+over Z_m for m = 2R + 1, R = Sum |v_i|: it never leaves [-R, R], so nothing
+wraps.
 
 The bound side (Halasz chain) is evaluated in doubles from exact level-set
 cardinalities.  All three bounds read one weight table W(k), k in Z_p;
@@ -20,6 +36,7 @@ below any gap seen at these scales.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,12 +44,15 @@ import numpy as np
 
 from .errors import GuardExceeded, PreconditionViolated, RangeTooLarge
 from .zp_core import PrimeModulus, ZpVector, check_table_size, level_mask, level_members, weight_table
+from .zp_core import TABLE_CELL_GUARD
 
 # Absolute slack granted to float-valued bounds when checked against exact rho.
 FLOAT_SLACK = 1e-12
 
 _SUMSET_P_GUARD = 10**4
-_LATTICE_RANGE_GUARD = 10**6
+# A class of +-e at least this large joins a one-atom law by one multiplication;
+# below it per-step shifts are faster (crossover near 100 for constant vectors mod 101).
+_BLOCK = 100
 
 
 @dataclass(frozen=True)
@@ -72,26 +92,57 @@ def _max_atom(dist: ExactDistribution) -> RhoResult:
     return RhoResult(atom, dist.counts[atom], dist.log2_denominator)
 
 
-def distribution_zp(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
-    """Exact law of u . v over Z_p, by n two-point convolutions.
+def _widen(law: int, m: int, w: int, w2: int) -> int:
+    """Repack m limbs of w bytes into limbs of w2 >= w bytes."""
+    raw, buf = law.to_bytes(m * w, "little"), bytearray(m * w2)
+    for t in range(w):
+        buf[t::w2] = raw[t::w]
+    return int.from_bytes(buf, "little")
 
-    Step i convolves with (delta_{v_i} + delta_{-v_i}); cost O(n p) big-int
-    additions.  The empty vector gives the point mass at 0.
-    """
+
+def _walk(entries, m: int, lazy: bool = False) -> list[int]:
+    """Atom counts of the (lazy) signed-sum walk over Z_m, indexed by residue."""
+    steps = 2 if lazy else 1
+    classes: Counter[int] = Counter()  # e -> number of entries +-e; min() once per residue
+    for r, k in Counter(e % m for e in entries).items():
+        classes[min(r, m - r)] = classes.get(min(r, m - r), 0) + k
+    total = steps * classes.pop(0, 0)  # log2 of the count total so far
+    cap = steps * len(entries) // 8 + 1  # limb bytes for the final total
+    law, offset, w = 1 << total, 0, total // 8 + 1
+    full = (1 << 8 * w * m) - 1
+    for e, k in classes.most_common():
+        d, j = (e, 2 * k) if lazy else (2 * e, k)
+        offset += k * e
+        for run in (j,) if k >= _BLOCK and law >> 8 * w == 0 else (1,) * j:
+            total += run
+            if total >= 8 * w:
+                w2 = min(cap, max(2 * w, total // 8 + 1))
+                law, w, full = _widen(law, m, w, w2), w2, (1 << 8 * w2 * m) - 1
+            if run == 1:
+                law += law << 8 * w * d
+            else:
+                row, c = [0] * m, 1
+                for i in range(j + 1):
+                    row[i * d % m] += c
+                    c = c * (j - i) // (i + 1)
+                law *= int.from_bytes(b"".join(r.to_bytes(w, "little") for r in row), "little")
+            law = (law & full) + (law >> 8 * w * m)
+    raw, s = law.to_bytes(m * w, "little"), offset % m
+    limbs = [int.from_bytes(raw[i:i + w], "little") for i in range(0, m * w, w)]
+    return limbs[s:] + limbs[:s]
+
+
+def distribution_zp(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
+    """Exact law of u . v over Z_p; the empty vector gives the point mass at 0."""
     check_table_size(len(v), p)
-    counts = [0] * p.p
-    counts[0] = 1
-    for e in v.entries:
-        counts = [counts[(j - e) % p.p] + counts[(j + e) % p.p] for j in range(p.p)]
-    return ExactDistribution(
-        {a: c for a, c in enumerate(counts) if c}, len(v)
-    )
+    counts = _walk(v.entries, p.p)
+    return ExactDistribution({a: c for a, c in enumerate(counts) if c}, len(v))
 
 
 def distribution_zp_bruteforce(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     """Independent oracle: enumerate all 2^n sign vectors (n <= ~20).
 
-    Kept free of the convolution path on purpose; acceptance checks compare
+    Kept free of the packed kernel on purpose; acceptance checks compare
     the two atom-for-atom.
     """
     n = len(v)
@@ -113,24 +164,14 @@ def rho(v: ZpVector, p: PrimeModulus) -> RhoResult:
 
 
 def distribution_int(entries) -> ExactDistribution:
-    """Exact law of u . v over Z by DP on [-Sum|v_i|, Sum|v_i|]."""
+    """Exact law of u . v over Z, supported on [-Sum|v_i|, Sum|v_i|]."""
     ents = [int(e) for e in entries]
     radius = sum(abs(e) for e in ents)
-    if radius > _LATTICE_RANGE_GUARD:
-        raise RangeTooLarge(f"lattice range {radius} exceeds guard")
-    size = 2 * radius + 1
-    counts = [0] * size
-    counts[radius] = 1  # offset representation: index = value + radius
-    for e in ents:
-        new = [0] * size
-        for j, c in enumerate(counts):
-            if c:
-                new[j - e] += c
-                new[j + e] += c
-        counts = new
-    return ExactDistribution(
-        {j - radius: c for j, c in enumerate(counts) if c}, len(ents)
-    )
+    cells = (2 * radius + 1) * max(len(ents), 1)
+    if cells > TABLE_CELL_GUARD:
+        raise RangeTooLarge(f"lattice table (2R+1) * n = {cells} exceeds the guard {TABLE_CELL_GUARD}")
+    counts = _walk(ents, 2 * radius + 1)  # counts[-a] is the residue 2R+1-a
+    return ExactDistribution({a: counts[a] for a in range(-radius, radius + 1) if counts[a]}, len(ents))
 
 
 def rho_int(entries) -> RhoResult:
@@ -144,16 +185,8 @@ def distribution_half(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     Counts live over denominator 4^n = 2^{2n}.
     """
     check_table_size(len(v), p)
-    counts = [0] * p.p
-    counts[0] = 1
-    for e in v.entries:
-        counts = [
-            2 * counts[j] + counts[(j - e) % p.p] + counts[(j + e) % p.p]
-            for j in range(p.p)
-        ]
-    return ExactDistribution(
-        {a: c for a, c in enumerate(counts) if c}, 2 * len(v)
-    )
+    counts = _walk(v.entries, p.p, lazy=True)
+    return ExactDistribution({a: c for a, c in enumerate(counts) if c}, 2 * len(v))
 
 
 def rho_half(v: ZpVector, p: PrimeModulus) -> RhoResult:
@@ -178,7 +211,7 @@ def level_counts(v: ZpVector, p: PrimeModulus) -> np.ndarray:
 def halasz_first_bound(weights: np.ndarray, p: PrimeModulus) -> float:
     """(1/p) Sum_k exp(-W(k)/p^2) with W(k) exact; upper bounds rho(v)."""
     pp = float(p.p * p.p)
-    return sum(math.exp(-w / pp) for w in weights) / p.p
+    return sum(math.exp(-w / pp) for w in weights.tolist()) / p.p
 
 
 def halasz_second_bound(weights: np.ndarray, ell, p: PrimeModulus) -> float:

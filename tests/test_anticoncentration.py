@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,100 @@ def test_distribution_total_and_oracle(entries):
     d = ac.distribution_zp(v, P7)
     assert d.total() == 2 ** len(entries)
     assert d.counts == ac.distribution_zp_bruteforce(v, P7).counts
+
+
+def _dp_reference(entries, m, lazy=False):
+    """Per-residue list DP of the (lazy) walk over Z_m, independent of the packed kernel."""
+    counts = [1] + [0] * (m - 1)
+    for e in entries:
+        counts = [(2 * counts[j] if lazy else 0) + counts[(j - e) % m] + counts[(j + e) % m]
+                  for j in range(m)]
+    return {a: c for a, c in enumerate(counts) if c}
+
+
+def _lattice_reference(entries):
+    counts = Counter({0: 1})
+    for e in entries:
+        step = Counter()
+        for a, c in counts.items():
+            step[a + e] += c
+            step[a - e] += c
+        counts = step
+    return {a: c for a, c in counts.items() if c}
+
+
+# a few free entries plus up to two classes of repeated entries, so that class
+# sizes cross the kernel's block threshold
+walk_inputs = st.tuples(
+    st.sampled_from([5, 7, 101, 1009]),
+    st.lists(st.integers(min_value=-3000, max_value=3000), max_size=16),
+    st.lists(st.tuples(st.integers(min_value=-3000, max_value=3000),
+                       st.integers(min_value=0, max_value=130)), max_size=2),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_inputs)
+def test_walks_match_references(case):
+    p, free, blocks = case
+    entries = free + [e for e, k in blocks for _ in range(k)]
+    P, v = PrimeModulus(p), ZpVector(tuple(entries))
+    plain, lazy = ac.distribution_zp(v, P), ac.distribution_half(v, P)
+    assert (plain.counts, plain.log2_denominator) == (_dp_reference(entries, p), len(v))
+    assert (lazy.counts, lazy.log2_denominator) == (_dp_reference(entries, p, True), 2 * len(v))
+    if len(v) <= 16:
+        assert plain.counts == ac.distribution_zp_bruteforce(v, P).counts
+    if len(v) <= 8:
+        # lazy law at a = plain law of v (+) v at 2a
+        doubled = ac.distribution_zp_bruteforce(v.concat(v), P).counts
+        assert lazy.counts == {a: doubled[2 * a % p] for a in range(p) if 2 * a % p in doubled}
+    small = [e % 9 - 4 for e in entries]
+    assert ac.distribution_int(small).counts == _lattice_reference(small)
+    if len(small) <= 12:
+        big = next_prime(2 * sum(map(abs, small)) + 5)
+        brute = ac.distribution_zp_bruteforce(ZpVector(tuple(small)), big).counts
+        assert ac.distribution_int(small).counts == {
+            a if a <= big.p // 2 else a - big.p: c for a, c in brute.items()}
+
+
+@pytest.mark.parametrize("entries", [
+    (), (0,), (0, 0, 3), (3, 98, 3), (3, 98, 0, 101, -3, 205),
+    (7,) * 99, (7,) * 100, (7,) * 101, (7,) * 100 + (94,) * 101 + (0, 5, 96),
+])
+def test_walks_edge_cases(entries):
+    """Empty and zero entries, e and p - e in one class, classes around the block
+    threshold, and non-canonical entries (reduced mod p like canonical ones)."""
+    v = ZpVector(entries)
+    assert ac.distribution_zp(v, P101).counts == _dp_reference(entries, 101)
+    assert ac.distribution_half(v, P101).counts == _dp_reference(entries, 101, True)
+    canonical = ZpVector(tuple(e % 101 for e in entries))
+    assert ac.distribution_zp(v, P101) == ac.distribution_zp(canonical, P101)
+    small = [e % 5 - 2 for e in entries]
+    assert ac.distribution_int(small).counts == _lattice_reference(small)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_walk_kernel_tiny_moduli(m):
+    # PrimeModulus admits p > 3 only, so the moduli below reach the kernel directly
+    for entries in [(), (0,), (1,), (1, 2), (1, 1, 2, 5), (1,) * 99, (1,) * 101, (2,) * 120 + (1,) * 7]:
+        for lazy in (False, True):
+            got = {a: c for a, c in enumerate(ac._walk(entries, m, lazy)) if c}
+            assert got == _dp_reference(entries, m, lazy)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_constant_vector_closed_form(n):
+    """e.1 of length n at p = 101 (the fibre shape): C(n, j) at (2j - n)e, and
+    C(2n, j) at (j - n)e for the lazy walk."""
+    e, p = 3, 101
+    plain, lazy = Counter(), Counter()
+    for j in range(n + 1):
+        plain[(2 * j - n) * e % p] += math.comb(n, j)
+    for j in range(2 * n + 1):
+        lazy[(j - n) * e % p] += math.comb(2 * n, j)
+    v = ZpVector((e,) * n)
+    assert ac.distribution_zp(v, P101).counts == plain
+    assert ac.distribution_half(v, P101).counts == lazy
 
 
 def test_distributions_size_guard():
@@ -105,6 +200,10 @@ def test_rho_int_erdos_bound():
 def test_rho_int_guard():
     with pytest.raises(RangeTooLarge):
         ac.rho_int((10**7,))
+    # the guard bounds the (2R+1) * n cells, not only the radius R
+    for entries in [(100,) * 1000, (1,) * 10**6]:
+        with pytest.raises(RangeTooLarge):
+            ac.rho_int(entries)
 
 
 def test_rho_half_zero_vector():
@@ -136,6 +235,16 @@ def test_halasz_first_bound_single_entry():
     got = ac.halasz_first_bound(ac.level_counts(ZpVector((1,)), P5), P5)
     want = (1 + 2 * math.exp(-1 / 25) + 2 * math.exp(-4 / 25)) / 5
     assert abs(got - want) < 1e-15
+
+
+def test_halasz_first_bound_is_the_scalar_sum():
+    # summing Python ints rounds exactly like summing numpy int64 scalars
+    for i in range(30):
+        g = substream(16, "h1sum", i)
+        p = PrimeModulus([5, 101, 1009][i % 3])
+        w = ac.level_counts(ZpVector(tuple(int(x) for x in g.integers(0, p.p, size=i + 1))), p)
+        pp = float(p.p * p.p)
+        assert ac.halasz_first_bound(w, p) == sum(math.exp(-x / pp) for x in w) / p.p
 
 
 def test_halasz_first_bound_dominates_rho():
