@@ -9,10 +9,8 @@ integer arithmetic.  Certificates re-verify from scratch with zero trust in
 the construction path.
 """
 
-from rholab import DESK_PROFILE, PrimeModulus, build_container, verify_certificate
-from rholab.containers import gen_gap_vector
-from rholab.inverse_lo import certificate_json
-from rholab.rng import substream
+from rholab import DESK_PROFILE, PrimeModulus
+from rholab.inverse_lo import certificate_cases, certificate_json
 
 p = PrimeModulus(101)
 n = 512
@@ -24,20 +22,20 @@ print(f"  t              = {DESK_PROFILE.t(n)} (absolute level threshold)")
 print(f"  rho floor      = {float(DESK_PROFILE.rho_floor(p)):.5f}")
 print()
 
-for i in range(3):
-    g = substream(0, "demo4", i)
-    c = int(g.integers(1, p.p))
-    v = gen_gap_vector(c, [0], [1], n, p, g)  # constant-valued structured vector
-    cert = build_container(v, p, DESK_PROFILE, g)
-    ok, errs = verify_certificate(v, p, DESK_PROFILE, cert)
+for case in certificate_cases(0, "demo4", 3, n, p, DESK_PROFILE):
+    c = case.v.entries[0]
+    print(f"vector #{case.idx}: constant {c}")
+    if case.error is not None:
+        print(f"  construction stopped: {case.error}")
+        continue
+    cert = case.result
     m = cert.measured
     members = sorted(x if x <= 50 else x - 101 for x in cert.b.members)
-    print(f"vector #{i}: constant {c}")
     print(f"  |Y| = {m['sizeY']}, |v_Y| = {m['supportVY']}, |U| = {len(cert.u)}")
     print(f"  B (as signed residues, scaled by {c}): {members}")
     print(f"  outside B: {m['outsideCount']} of {n}; |B| = {m['sizeB']}; "
           f"rho(v_Y) = {float(m['rhoVY']):.5f}")
-    print(f"  independent re-verification: {'PASS' if ok else errs}")
+    print(f"  independent re-verification: {'PASS' if case.ok else case.audit}")
 print()
 
 cert_doc = certificate_json(cert)

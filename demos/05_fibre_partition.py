@@ -8,10 +8,14 @@ so the live set shrinks geometrically.  The audit below re-derives every
 invariant from the raw trace.
 """
 
-import math
-
 from rholab import DESK_PROFILE, PrimeModulus, ZpVector, audit_trace, run_fibre
-from rholab.fibres import fibre_count_bound, support_threshold, trace_fingerprint
+from rholab.fibres import (
+    fibre_cases,
+    fibre_count_bound,
+    k_star_cap,
+    support_threshold,
+    trace_fingerprint,
+)
 from rholab.rng import substream
 
 p = PrimeModulus(101)
@@ -36,17 +40,16 @@ for name, ok in report.checks.items():
     print(f"  {name:28s} {'ok' if ok else 'FAIL'}")
 print()
 
-cap = math.ceil(math.log(n) / math.log(4 / 3)) + 1
-print(f"k* = {trace.k_star} <= ceil(log_{{4/3}} n) + 1 = {cap}")
+print(f"k* = {trace.k_star} <= ceil(log_{{4/3}} n) + 1 = {k_star_cap(n)}")
 print()
 
 print("distinct fibres over 40 runs at (n = 128, p = 31):")
 p31 = PrimeModulus(31)
-prints = set()
-for i in range(40):
-    gg = substream(0, "demo5-count", i)
-    c = int(gg.integers(1, 31))
-    prints.add(trace_fingerprint(run_fibre(ZpVector((c,) * 128), p31, DESK_PROFILE, gg)))
+prints = {
+    trace_fingerprint(case.result)
+    for case in fibre_cases(0, "demo5-count", 40, 128, p31, DESK_PROFILE)
+    if case.error is None
+}
 bound = fibre_count_bound(128, p31, DESK_PROFILE)
 print(f"  observed {len(prints)} distinct fibres; "
       f"log bound = {bound['log_bound']:.0f} nats (vacuously large at desk scale)")

@@ -13,14 +13,14 @@ quantities is exact; float-valued bounds get the fixed 1e-12 slack.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from . import anticoncentration as ac
 from . import matrix_lab as ml
-from .containers import container, gen_gap_vector, lemma_contain_check, level_set
-from .errors import PreconditionViolated, RetryExhausted
-from .fibres import audit_trace, run_fibre
-from .inverse_lo import DESK_PROFILE, build_container, verify_certificate
+from .containers import container, lemma_contain_check, level_set
+from .fibres import audit_trace, fibre_cases, k_star_cap
+from .inverse_lo import DESK_PROFILE, certificate_cases
 from .rng import substream
 from .zp_core import PrimeModulus, ZpVector
 
@@ -128,25 +128,14 @@ def check_halasz_chain(seed: int, cases: int) -> dict:
 
 def check_container_construction(seed: int, cases: int, n: int = 512, p_val: int = 101) -> dict:
     """Criterion 4: desk-profile builds certify on >= 99% of structured vectors."""
-    p = PrimeModulus(p_val)
-    successes = 0
-    reverified = 0
-    failures = []
-    for i in range(cases):
-        g = substream(seed, "c4-build", i)
-        c = int(g.integers(1, p.p))
-        v = gen_gap_vector(c, [0], [1], n, p, g)  # degenerate GAP: constant c
-        try:
-            cert = build_container(v, p, DESK_PROFILE, g)
-        except (RetryExhausted, PreconditionViolated) as exc:
-            failures.append(f"case {i}: {exc}")
-            continue
-        successes += 1
-        ok, errs = verify_certificate(v, p, DESK_PROFILE, cert)
-        if ok and 4 * cert.measured["outsideCount"] <= n:
-            reverified += 1
-        else:
-            failures.append(f"case {i}: reverify {errs}")
+    outcomes = list(certificate_cases(seed, "c4-build", cases, n, PrimeModulus(p_val), DESK_PROFILE))
+    successes = sum(case.error is None for case in outcomes)
+    reverified = sum(case.ok for case in outcomes)
+    failures = [
+        f"case {case.idx}: {case.error}" if case.error is not None
+        else f"case {case.idx}: reverify {case.audit}"
+        for case in outcomes if not case.ok
+    ]
     ok = successes >= math.ceil(0.99 * cases) and reverified == successes
     return {
         "name": "container_construction",
@@ -160,40 +149,30 @@ def check_container_construction(seed: int, cases: int, n: int = 512, p_val: int
 
 def check_fibre_algorithm(seed: int, cases: int, n: int = 1024, p_val: int = 101) -> dict:
     """Criterion 5: traces audit clean; a tampered trace is caught."""
-    p = PrimeModulus(p_val)
     bad = 0
     k_stars = []
     mutation_caught = False
-    for i in range(cases):
-        g = substream(seed, "c5-fibre", i)
-        c = int(g.integers(1, p.p))
-        v = ZpVector((c,) * n)
-        trace = run_fibre(v, p, DESK_PROFILE, g)
-        report = audit_trace(v, trace, DESK_PROFILE)
+    for case in fibre_cases(seed, "c5-fibre", cases, n, PrimeModulus(p_val), DESK_PROFILE):
+        bad += 0 if case.ok else 1
+        if case.error is not None:
+            continue
+        trace = case.result
         k_stars.append(trace.k_star)
-        if not report.ok:
-            bad += 1
-        if i == 0 and trace.steps:
+        if case.idx == 0 and trace.steps:
             # move one index from X_1 into Y_1 and re-audit
-            from dataclasses import replace
-
             s0 = trace.steps[0]
             moved = next(iter(s0.x))
-            tampered_step = replace(
-                s0, x=s0.x - {moved}, y=s0.y | {moved}
-            )
+            tampered_step = replace(s0, x=s0.x - {moved}, y=s0.y | {moved})
             tampered = replace(trace, steps=(tampered_step,) + trace.steps[1:])
-            mutation_caught = not audit_trace(v, tampered, DESK_PROFILE).ok
-    cap = math.ceil(math.log(n) / math.log(4 / 3)) + 1
-    ok = bad == 0 and mutation_caught and all(k <= cap for k in k_stars)
+            mutation_caught = not audit_trace(case.v, tampered, DESK_PROFILE).ok
     return {
         "name": "fibre_algorithm",
-        "ok": ok,
+        "ok": bad == 0 and mutation_caught,
         "cases": cases,
         "violations": bad,
         "mutation_caught": mutation_caught,
         "k_star_max": max(k_stars) if k_stars else 0,
-        "k_star_cap": cap,
+        "k_star_cap": k_star_cap(n),
     }
 
 

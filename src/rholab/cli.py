@@ -18,14 +18,13 @@ from pathlib import Path
 from . import acceptance
 from . import anticoncentration as ac
 from . import matrix_lab as ml
-from .containers import gen_gap_vector
 from .errors import (
     GuardExceeded,
     PreconditionViolated,
     RetryExhausted,
     VectorParseError,
 )
-from .fibres import audit_trace, run_fibre, trace_to_doc
+from .fibres import fibre_cases, trace_to_doc
 from .harness import (
     ExperimentConfig,
     ExperimentRecord,
@@ -35,14 +34,13 @@ from .harness import (
     write_json,
 )
 from .inverse_lo import (
+    DESK_PROFILE,
     PROFILES,
-    build_container,
+    certificate_cases,
     certificate_to_doc,
     profile_from_dict,
-    verify_certificate,
 )
-from .rng import substream
-from .zp_core import PrimeModulus, ZpVector
+from .zp_core import PrimeModulus
 
 
 class _UsageError(Exception):
@@ -64,6 +62,10 @@ _COMMON = {
     "format": dict(choices=("csv", "json"), default="csv"),
     "workers": dict(type=int, default=1),
 }
+
+
+_MC_HEADER = ["n", "trials", "singular_count", "p_hat", "wilson_lo", "wilson_hi",
+              "conjecture", "seed"]
 
 
 def _add_common(sp, *names):
@@ -113,18 +115,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=5)
 
     sp = sub.add_parser("verify-all", help="full acceptance suite")
-    _add_common(sp, "seed", "profile", "out", "workers")
+    _add_common(sp, "seed", "out", "workers")
     sp.add_argument("--quick", action="store_true", help="reduced case counts")
     return ap
 
 
-def _emit(args, header, rows, doc):
+def _emit(args, header, rows, doc, failures=None) -> int:
+    """Write the artifact; report `failures` on stderr and return the exit code."""
     if args.format == "csv":
         text = write_csv(args.out, header, rows)
     else:
         text = write_json(args.out, doc)
     if args.out is None:
         sys.stdout.write(text)
+    if failures:
+        print(failure_report(failures), file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_rho(args) -> int:
@@ -146,8 +153,7 @@ def cmd_rho(args) -> int:
             "rho": {"atom": r.atom, "count": r.count, "log2Denominator": r.log2_denominator},
             "rhoHalf": {"atom": h.atom, "count": h.count, "log2Denominator": h.log2_denominator},
         })
-    _emit(args, header, rows, {"vectors": docs})
-    return 0
+    return _emit(args, header, rows, {"vectors": docs})
 
 
 def cmd_halasz(args) -> int:
@@ -169,11 +175,8 @@ def cmd_halasz(args) -> int:
                          r, first, repr(second), repr(final), ok1 and ok])
         if not chain.levels:
             rows.append([idx, p.p, v.support_size, "", r, first, "", "", ok1])
-    _emit(args, header, rows, {"rows": [dict(zip(header, row)) for row in rows]})
-    if bad:
-        print(failure_report({"halasz_violations": bad}), file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args, header, rows, {"rows": [dict(zip(header, row)) for row in rows]},
+                 {"halasz_violations": bad} if bad else None)
 
 
 def cmd_container(args) -> int:
@@ -184,29 +187,20 @@ def cmd_container(args) -> int:
     rows = []
     docs = []
     bad = 0
-    for i in range(args.count):
-        g = substream(args.seed, "cli-container", i)
-        c = int(g.integers(1, p.p))
-        v = gen_gap_vector(c, [0], [1], args.n, p, g)
-        try:
-            cert = build_container(v, p, profile, g)
-        except (RetryExhausted, PreconditionViolated) as exc:
-            bad += 1
-            rows.append([i, p.p, args.n, v.support_size, "", "", "", "", "", False])
-            docs.append({"idx": i, "error": str(exc)})
+    for case in certificate_cases(args.seed, "cli-container", args.count, args.n, p, profile):
+        bad += 0 if case.ok else 1
+        if case.error is not None:
+            rows.append([case.idx, p.p, args.n, case.v.support_size, "", "", "", "", "", False])
+            docs.append({"idx": case.idx, "error": case.error})
             continue
-        ok, errs = verify_certificate(v, p, profile, cert)
-        bad += 0 if ok else 1
-        m = cert.measured
-        rows.append([i, p.p, args.n, m["supportV"], m["sizeY"], m["supportVY"],
+        m = case.result.measured
+        rows.append([case.idx, p.p, args.n, m["supportV"], m["sizeY"], m["supportVY"],
                      m["outsideCount"], m["sizeB"],
-                     f"{m['rhoVY'].numerator}/{m['rhoVY'].denominator}", ok])
-        docs.append({"idx": i, "certificate": certificate_to_doc(cert), "verified": ok})
-    _emit(args, header, rows, {"certificates": docs})
-    if bad:
-        print(failure_report({"container_failures": bad}), file=sys.stderr)
-        return 1
-    return 0
+                     f"{m['rhoVY'].numerator}/{m['rhoVY'].denominator}", case.ok])
+        docs.append({"idx": case.idx, "certificate": certificate_to_doc(case.result),
+                     "verified": case.ok})
+    return _emit(args, header, rows, {"certificates": docs},
+                 {"container_failures": bad} if bad else None)
 
 
 def cmd_fibre(args) -> int:
@@ -216,28 +210,19 @@ def cmd_fibre(args) -> int:
     rows = []
     traces = []
     bad = 0
-    for i in range(args.count):
-        g = substream(args.seed, "cli-fibre", i)
-        c = int(g.integers(1, p.p))
-        v = ZpVector((c,) * args.n)
-        try:
-            trace = run_fibre(v, p, profile, g)
-        except (RetryExhausted, PreconditionViolated) as exc:
-            bad += 1
-            rows.append([i, p.p, args.n, "", "", False])
-            traces.append({"idx": i, "error": str(exc)})
+    for case in fibre_cases(args.seed, "cli-fibre", args.count, args.n, p, profile):
+        bad += 0 if case.ok else 1
+        if case.error is not None:
+            rows.append([case.idx, p.p, args.n, "", "", False])
+            traces.append({"idx": case.idx, "error": case.error})
             continue
-        report = audit_trace(v, trace, profile)
-        bad += 0 if report.ok else 1
-        rows.append([i, p.p, args.n, trace.k_star, trace.terminal_support, report.ok])
-        traces.append({"idx": i, "trace": trace_to_doc(trace), "audit": report.checks})
+        trace = case.result
+        rows.append([case.idx, p.p, args.n, trace.k_star, trace.terminal_support, case.ok])
+        traces.append({"idx": case.idx, "trace": trace_to_doc(trace), "audit": case.audit.checks})
     if args.trace_out:
         write_json(args.trace_out, {"traces": traces})
-    _emit(args, header, rows, {"traces": traces})
-    if bad:
-        print(failure_report({"fibre_failures": bad}), file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args, header, rows, {"traces": traces},
+                 {"fibre_failures": bad} if bad else None)
 
 
 def cmd_singularity(args) -> int:
@@ -253,8 +238,6 @@ def cmd_singularity(args) -> int:
         print(f"{value.numerator}/{value.denominator}")
         return 0
     est = ml.singularity_mc_sharded(args.n, args.trials, args.seed, workers=args.workers)
-    header = ["n", "trials", "singular_count", "p_hat", "wilson_lo", "wilson_hi",
-              "conjecture", "seed"]
     row = [est.n, est.trials, est.singular_count, repr(est.point_estimate),
            repr(est.wilson95[0]), repr(est.wilson95[1]),
            repr(est.conjecture_value), args.seed]
@@ -264,8 +247,7 @@ def cmd_singularity(args) -> int:
         "conjecture": est.conjecture_value,
         "contextBoundShape": est.context_bound_shape, "seed": args.seed,
     }
-    _emit(args, header, [row], doc)
-    return 0
+    return _emit(args, _MC_HEADER, [row], doc)
 
 
 def cmd_identities(args) -> int:
@@ -290,11 +272,8 @@ def cmd_identities(args) -> int:
             "max_q": q_max, "argmax_w": list(w_max),
         }
         rows.append(["q_probe", True, 0, p.p**args.n])
-    _emit(args, ["suite", "ok", "violations", "cases"], rows, doc)
-    if not (res["ok"] and lemmas["ok"]):
-        print(failure_report({"identities": res, "lemmas": lemmas}), file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args, ["suite", "ok", "violations", "cases"], rows, doc,
+                 None if res["ok"] and lemmas["ok"] else {"identities": res, "lemmas": lemmas})
 
 
 def cmd_verify_all(args) -> int:
@@ -310,7 +289,7 @@ def cmd_verify_all(args) -> int:
         # byte-identical for any parallelism (it is logged to stderr instead)
         record = ExperimentRecord(
             ExperimentConfig(
-                "verify-all", args.seed, args.profile, {"quick": args.quick}
+                "verify-all", args.seed, DESK_PROFILE.name, {"quick": args.quick}
             ),
             outputs={k: v["name"] for k, v in doc["criteria"].items()},
             invariant_flags={k: v["ok"] for k, v in doc["criteria"].items()},
@@ -318,8 +297,6 @@ def cmd_verify_all(args) -> int:
         print(f"[verify-all] workers={args.workers}", file=sys.stderr)
         record.emit(out_dir / "record.json")
         mc = doc["criteria"]["9"]
-        header = ["n", "trials", "singular_count", "p_hat", "wilson_lo", "wilson_hi",
-                  "conjecture", "seed"]
         rows = []
         for rec in mc["intervals"]:
             rows.append([rec["n"], "", "", repr(rec["estimate"]),
@@ -327,7 +304,7 @@ def cmd_verify_all(args) -> int:
         for rec in mc["trend"]:
             rows.append([rec["n"], "", "", repr(rec["estimate"]), "", "",
                          repr(rec["conjecture"]), args.seed])
-        write_csv(out_dir / "singularity.csv", header, rows)
+        write_csv(out_dir / "singularity.csv", _MC_HEADER, rows)
     if not doc["all_ok"]:
         failing = {k: v["name"] for k, v in doc["criteria"].items() if not v["ok"]}
         print(failure_report(failing), file=sys.stderr)

@@ -28,7 +28,7 @@ import numpy as np
 from .containers import ContainerSet, container
 from .errors import PreconditionViolated, RetryExhausted
 from .harness import canonical_json
-from .inverse_lo import ConstantsProfile, build_container
+from .inverse_lo import ConstantsProfile, _constant_cases, build_container
 from .zp_core import PrimeModulus, ZpVector
 
 
@@ -51,6 +51,11 @@ class FibreTrace:
 
 def support_threshold(n: int, profile: ConstantsProfile) -> float:
     return profile.support_threshold_coeff * math.sqrt(n)
+
+
+def k_star_cap(n: int) -> int:
+    """ceil(log_{4/3} n) + 1: the most steps a trace of length n can take."""
+    return math.ceil(math.log(n) / math.log(4 / 3)) + 1 if n > 1 else 1
 
 
 def run_fibre(
@@ -171,9 +176,21 @@ def audit_trace(v: ZpVector, trace: FibreTrace, profile: ConstantsProfile) -> Au
         v.restrict(live).support_size == trace.terminal_support
         and trace.terminal_support < threshold
     )
-    k_cap = math.ceil(math.log(n) / math.log(4 / 3)) + 1 if n > 1 else 1
-    checks["k_star_cap"] = trace.k_star <= k_cap
+    checks["k_star_cap"] = trace.k_star <= k_star_cap(n)
     return AuditReport(checks)
+
+
+def fibre_cases(
+    seed: int, label: str, count: int, n: int, p: PrimeModulus, profile: ConstantsProfile
+):
+    """Run and audit a fibre trace for each constant-vector case."""
+
+    def run(v, g):
+        trace = run_fibre(v, p, profile, g)
+        report = audit_trace(v, trace, profile)
+        return trace, report, report.ok
+
+    return _constant_cases(seed, label, count, n, p, run)
 
 
 def fibre_count_bound(n: int, p: PrimeModulus, profile: ConstantsProfile) -> dict:
@@ -190,7 +207,7 @@ def fibre_count_bound(n: int, p: PrimeModulus, profile: ConstantsProfile) -> dic
     The bound beats the reference only for astronomically large n (the X/Y
     term alone is ~ 8 n ln 2); both sides are reported rather than asserted.
     """
-    k_max = math.ceil(math.log(n) / math.log(4 / 3)) + 1 if n > 1 else 1
+    k_max = k_star_cap(n)
     geo = 0.0
     z = float(n)
     for _ in range(k_max):
@@ -244,6 +261,8 @@ __all__ = [
     "AuditReport",
     "run_fibre",
     "audit_trace",
+    "fibre_cases",
+    "k_star_cap",
     "fibre_count_bound",
     "support_threshold",
     "trace_to_doc",

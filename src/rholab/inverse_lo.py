@@ -29,6 +29,7 @@ from .anticoncentration import RhoResult, rho
 from .containers import ContainerSet, container, frequency_set, level_set
 from .errors import PreconditionViolated, RetryExhausted
 from .harness import canonical_json
+from .rng import substream
 from .zp_core import PrimeModulus, ZpVector, level_members, weight_table
 
 
@@ -328,6 +329,46 @@ def verify_certificate(
     if checked != cert.measured:
         failures.append("measured quantities do not match recomputation")
     return not failures, failures
+
+
+@dataclass(frozen=True)
+class Case:
+    """Case idx of a constant-vector experiment on v = (c,) * n: the certificate
+    or fibre trace built (result), what its re-check found (audit: the failure
+    list or the AuditReport), or the message of the error that stopped the run."""
+
+    idx: int
+    v: ZpVector
+    result: object = None
+    audit: object = None
+    ok: bool = False
+    error: str | None = None
+
+
+def _constant_cases(seed: int, label: str, count: int, n: int, p: PrimeModulus, run):
+    """Cases 0..count-1: case i draws c from substream(seed, label, i), sets
+    v = (c,) * n and calls run(v, g) -> (result, audit, ok) on the same stream."""
+    for i in range(count):
+        g = substream(seed, label, i)
+        v = ZpVector((int(g.integers(1, p.p)),) * n)
+        try:
+            case = Case(i, v, *run(v, g))
+        except (RetryExhausted, PreconditionViolated) as exc:
+            case = Case(i, v, error=str(exc))
+        yield case
+
+
+def certificate_cases(
+    seed: int, label: str, count: int, n: int, p: PrimeModulus, profile: ConstantsProfile
+):
+    """Build and independently re-verify a certificate for each constant-vector case."""
+
+    def run(v, g):
+        cert = build_container(v, p, profile, g)
+        ok, failures = verify_certificate(v, p, profile, cert)
+        return cert, failures, ok
+
+    return _constant_cases(seed, label, count, n, p, run)
 
 
 def certificate_to_doc(cert: ContainerCertificate) -> dict:

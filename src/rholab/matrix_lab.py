@@ -5,10 +5,11 @@ Exactness contract: a matrix is declared singular over Z only when its
 integer determinant is exactly zero.  The fast path computes ranks modulo
 p1 = 2^31 - 1 in batched int64 elimination; for n <= 15 the Hadamard bound
 n^{n/2} < p1 already makes that exact, and for larger n every matrix flagged
-singular mod p1 is confirmed by an exact integer determinant (CRT over
-word-size primes past the Hadamard bound, cross-checkable against
-fraction-free elimination).  False nonsingulars are impossible, false
-singulars are confirmed away, so Monte Carlo counts are exact counts.
+singular mod p1 is confirmed by an exact integer determinant from
+fraction-free (Bareiss) elimination.  The CRT determinant det_exact is an
+independent cross-check of Bareiss, not part of the count.  False
+nonsingulars are impossible, false singulars are confirmed away, so Monte
+Carlo counts are exact counts.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ _MATCH_GUARD = 4
 _ODLYZKO_GUARD = 14
 _DECOUPLE_SUPPORT_GUARD = 16
 _Q_ENUM_GUARD = 10**8
+_MC_BLOCK = 20000  # trials per Monte Carlo block
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -265,7 +267,6 @@ class SingularityEstimate:
     wilson95: tuple[float, float]
     conjecture_value: float          # n^2 2^{1-n}
     context_bound_shape: float       # exp(-c sqrt(n)) with c = 2^-15, context only
-    seed_label: str
 
 
 def singular_count_block(n: int, bits: np.ndarray) -> int:
@@ -279,39 +280,32 @@ def singular_count_block(n: int, bits: np.ndarray) -> int:
     return sum(1 for i in flagged if det_bareiss(mats[int(i)]) == 0)
 
 
+def _trial_blocks(n: int, trials: int) -> list[int]:
+    """Sizes of the Monte Carlo trial blocks: _MC_BLOCK each, the last one short."""
+    if n > _DET_GUARD:
+        raise GuardExceeded(f"guard is n <= {_DET_GUARD}")
+    if trials <= 0:
+        raise PreconditionViolated("trials must be positive")
+    return [min(_MC_BLOCK, trials - start) for start in range(0, trials, _MC_BLOCK)]
+
+
 def _mc_block_task(args) -> int:
-    n, master_seed, label, block_idx, block_size = args
-    g = substream(master_seed, label, block_idx)
+    n, master_seed, block_idx, block_size = args
+    g = substream(master_seed, f"singularity-mc:n={n}", block_idx)
     bits = g.integers(0, 2, size=(block_size, n * (n + 1) // 2), dtype=np.int64)
     return singular_count_block(n, bits)
 
 
 def singularity_mc_sharded(
-    n: int,
-    trials: int,
-    master_seed: int,
-    workers: int = 1,
-    block: int = 20000,
-    label: str = "singularity-mc",
+    n: int, trials: int, master_seed: int, workers: int = 1
 ) -> SingularityEstimate:
     """Monte Carlo estimate sharded into counter-keyed trial blocks.
 
-    Block i always draws from substream (seed, label:n, i), so the result is
-    byte-identical for every worker count; workers only change scheduling.
+    Block i always draws from substream (seed, "singularity-mc:n=<n>", i), so
+    the result is byte-identical for every worker count; workers only change
+    scheduling.
     """
-    if n > _DET_GUARD:
-        raise GuardExceeded(f"guard is n <= {_DET_GUARD}")
-    if trials <= 0:
-        raise PreconditionViolated("trials must be positive")
-    stream_label = f"{label}:n={n}"
-    tasks = []
-    done = 0
-    i = 0
-    while done < trials:
-        b = min(block, trials - done)
-        tasks.append((n, master_seed, stream_label, i, b))
-        done += b
-        i += 1
+    tasks = [(n, master_seed, i, b) for i, b in enumerate(_trial_blocks(n, trials))]
     if workers <= 1:
         counts = [_mc_block_task(t) for t in tasks]
     else:
@@ -328,7 +322,6 @@ def singularity_mc_sharded(
         wilson95=wilson_interval(singular, trials),
         conjecture_value=n * n * 2.0 ** (1 - n),
         context_bound_shape=math.exp(-(2.0**-15) * math.sqrt(n)),
-        seed_label=stream_label,
     )
 
 
@@ -354,6 +347,17 @@ def _sym_chunks(n: int, fixed: int = 0):
         yield _bits_to_sym((idx[:, None] >> np.arange(m)[None, :]) & 1, n)
 
 
+def _solution_counts(n: int, p: int, vs: np.ndarray, ws, rows=slice(None)) -> list[int]:
+    """For each w in ws, the number of symmetric sign n x n matrices M with
+    (M v)_rows = w_rows over F_p for some row v of the [K, n] array vs."""
+    hits = [0] * len(ws)
+    for mats in _sym_chunks(n):
+        mv = mats[:, rows, :] @ vs.T  # [B, |rows|, K]
+        for j, w in enumerate(ws):
+            hits[j] += int(((mv - w[rows, None]) % p == 0).all(axis=1).any(axis=1).sum())
+    return hits
+
+
 def match_probability_exact(v: ZpVector, w: ZpVector, p: PrimeModulus) -> Fraction:
     """Exact Pr(M_n v = w over F_p) by enumerating all symmetric sign matrices."""
     n = len(v)
@@ -361,9 +365,7 @@ def match_probability_exact(v: ZpVector, w: ZpVector, p: PrimeModulus) -> Fracti
         raise GuardExceeded(f"enumeration guard is n <= {_MATCH_GUARD}")
     if len(w) != n:
         raise PreconditionViolated("v and w must have equal length")
-    va = v.as_array()
-    wa = w.as_array()
-    hits = sum(int(((mats @ va - wa) % p.p == 0).all(axis=1).sum()) for mats in _sym_chunks(n))
+    (hits,) = _solution_counts(n, p.p, v.as_array()[None, :], [w.as_array()])
     return Fraction(hits, 1 << (n * (n + 1) // 2))
 
 
@@ -391,12 +393,7 @@ def block_probability_exact(
         raise PreconditionViolated("X and Y must be disjoint")
     if any(not 0 <= i < n for i in xs + ys):
         raise PreconditionViolated("index out of range")
-    va = v.as_array()
-    wa = w.as_array()
-    hits = sum(
-        int(((mats[:, xs, :] @ va - wa[xs]) % p.p == 0).all(axis=1).sum())
-        for mats in _sym_chunks(n)
-    )
+    (hits,) = _solution_counts(n, p.p, v.as_array()[None, :], [w.as_array()], xs)
     prob = Fraction(hits, 1 << (n * (n + 1) // 2))
     bound = rho(v.restrict(ys), p).value ** len(xs)
     return BlockProbabilityResult(prob, bound, prob <= bound)
@@ -414,7 +411,7 @@ def odlyzko_check(basis, n: int, p: PrimeModulus) -> tuple[int, bool]:
         raise GuardExceeded(f"guard is n <= {_ODLYZKO_GUARD}")
     if (p.p - 1) * p.p >= 2**63:
         raise GuardExceeded("odlyzko_check needs (p - 1) p < 2^63 for int64 products")
-    rows = [list(b.entries) if isinstance(b, ZpVector) else [int(e) % p.p for e in b] for b in basis]
+    rows = [[int(e) % p.p for e in b] for b in basis]
     k = len(rows)
     if k == 0:
         return 0, True
@@ -585,8 +582,15 @@ def decoupling_probability_check(px: dict, py: dict, event) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _structured_vectors(n: int, p: PrimeModulus, beta: Fraction) -> np.ndarray:
-    """[K, n] array of the nonzero v in Z_p^n with rho(v) >= beta."""
+def _structured_vectors(n: int, p: PrimeModulus, beta, strict: bool) -> np.ndarray:
+    """[K, n] array of the nonzero v in Z_p^n with rho(v) >= beta.
+
+    strict mode enforces the beta >= 4/p floor below which "structured" loses
+    meaning (4x the uniform atom); strict=False probes smaller beta.
+    """
+    beta = Fraction(beta)
+    if strict and beta < Fraction(4, p.p):
+        raise PreconditionViolated(f"strict mode needs beta >= 4/p = 4/{p.p}")
     out = [
         tup for tup in _iproduct(range(p.p), repeat=n)
         if any(tup) and rho(ZpVector(tup), p).value >= beta
@@ -594,30 +598,21 @@ def _structured_vectors(n: int, p: PrimeModulus, beta: Fraction) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(len(out), n)
 
 
-def _hit_count(mv: np.ndarray, w: np.ndarray, p: int) -> int:
-    """Number of matrices M with M v = w over F_p for some v, given mv = [M v]_{M, v}."""
-    return int(((mv - w[:, None]) % p == 0).all(axis=1).any(axis=1).sum())
-
-
 def q_exact(
     n: int, p: PrimeModulus, beta, w, strict: bool = True
 ) -> Fraction:
     """Exact Pr(exists v != 0 : M_n v = w and rho(v) >= beta), enumerated.
 
-    strict mode enforces the beta >= 4/p floor below which "structured" loses
-    meaning (4x the uniform atom); pass strict=False to probe smaller beta.
+    strict mode (the default) needs beta >= 4/p; pass strict=False to probe
+    smaller beta.
     """
-    beta = Fraction(beta)
-    if strict and beta < Fraction(4, p.p):
-        raise PreconditionViolated(f"strict mode needs beta >= 4/p = 4/{p.p}")
     m = n * (n + 1) // 2
     if p.p**n * (1 << m) > _Q_ENUM_GUARD:
         raise GuardExceeded("joint enumeration beyond guard")
     wa = np.asarray(tuple(w), dtype=np.int64)
     if wa.shape != (n,):
         raise PreconditionViolated("w must have length n")
-    vs = _structured_vectors(n, p, beta)
-    hits = sum(_hit_count(mats @ vs.T, wa, p.p) for mats in _sym_chunks(n))
+    (hits,) = _solution_counts(n, p.p, _structured_vectors(n, p, beta, strict), [wa])
     return Fraction(hits, 1 << m)
 
 
@@ -625,20 +620,14 @@ def q_exact_max(
     n: int, p: PrimeModulus, beta, strict: bool = True
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Max of q over all w in Z_p^n, with the lexicographically-first argmax."""
-    beta = Fraction(beta)
-    if strict and beta < Fraction(4, p.p):
-        raise PreconditionViolated(f"strict mode needs beta >= 4/p = 4/{p.p}")
     m = n * (n + 1) // 2
     if p.p ** (2 * n) * (1 << m) > _Q_ENUM_GUARD:
         raise GuardExceeded("outer enumeration beyond guard")
-    vs = _structured_vectors(n, p, beta)
-    mv = np.concatenate([mats @ vs.T for mats in _sym_chunks(n)])
-    best = (Fraction(-1), None)
-    for w in _iproduct(range(p.p), repeat=n):
-        f = Fraction(_hit_count(mv, np.asarray(w, dtype=np.int64), p.p), len(mv))
-        if f > best[0]:
-            best = (f, tuple(w))
-    return best
+    vs = _structured_vectors(n, p, beta, strict)
+    ws = list(_iproduct(range(p.p), repeat=n))
+    hits = _solution_counts(n, p.p, vs, [np.asarray(w, dtype=np.int64) for w in ws])
+    best = max(hits)
+    return Fraction(best, 1 << m), ws[hits.index(best)]
 
 
 # ---------------------------------------------------------------------------
@@ -655,17 +644,11 @@ def rank_profile_mc(n: int, trials: int, p: PrimeModulus, rng: np.random.Generat
     violation of  Pr(rk(M_m) = k) <= 2 Pr(rk(M_{2m-k-1}) = 2m-k-2)  for
     instances with both dimensions estimated (2m-k-1 <= n).
     """
-    if n > _DET_GUARD:
-        raise GuardExceeded(f"guard is n <= {_DET_GUARD}")
-    if trials <= 0:
-        raise PreconditionViolated("trials must be positive")
+    blocks = _trial_blocks(n, trials)
     m_pack = n * (n + 1) // 2
     joint: dict[tuple[int, int], int] = {}
     marg: dict[int, np.ndarray] = {m: np.zeros(m + 1, dtype=np.int64) for m in range(1, n + 1)}
-    block = 20000
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
+    for b in blocks:
         bits = rng.integers(0, 2, size=(b, m_pack), dtype=np.int64)
         mats = _bits_to_sym(bits, n)
         ranks_by_dim: dict[int, np.ndarray] = {}
@@ -678,7 +661,6 @@ def rank_profile_mc(n: int, trials: int, p: PrimeModulus, rng: np.random.Generat
         rn1 = ranks_by_dim[n - 1] if n >= 2 else ranks_by_dim[n]
         for a, c in zip(rn.tolist(), rn1.tolist()):
             joint[(a, c)] = joint.get((a, c), 0) + 1
-        done += b
     flags = []
     for m in range(2, n + 1):
         for k in range(0, m):

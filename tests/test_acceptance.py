@@ -57,6 +57,17 @@ def test_criterion_5_fibre_algorithm():
     assert res["k_star_max"] <= 26  # ceil(log_{4/3} 1024) + 1
 
 
+def test_failing_cases_count_as_violations():
+    # n = 64 is below the desk support floor 32 ln 101 = 147.7, so every
+    # construction stops with PreconditionViolated; the criteria report the
+    # case as failed instead of raising
+    res = acc.check_fibre_algorithm(SEED, 1, n=64)
+    assert res["violations"] == 1 and not res["ok"]
+    assert res["k_star_max"] == 0 and res["k_star_cap"] == 16
+    res = acc.check_container_construction(SEED, 1, n=64)
+    assert res["failures"] == ["case 0: support 64 below floor 147.7"] and not res["ok"]
+
+
 def test_criterion_6_exhaustive_matrix_checks():
     t0 = time.time()
     res = acc.check_exhaustive_matrix(SEED, **FULL["6"])

@@ -67,7 +67,7 @@ def test_unread_options_are_rejected(tmp_path, capsys):
         ("fibre", "--count", "0"): ["--workers"],
         ("singularity", "--exact", "--n", "2"): ["--profile"],
         ("identities", "--cases", "1"): ["--profile", "--workers"],
-        ("verify-all", "--quick"): ["--format"],
+        ("verify-all", "--quick"): ["--format", "--profile"],
     }
     for base, options in unread.items():
         if base[0] != "verify-all":

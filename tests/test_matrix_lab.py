@@ -246,8 +246,9 @@ def test_singularity_mc_small():
 
 
 def test_singularity_mc_sharded_worker_invariant():
-    a = ml.singularity_mc_sharded(3, 30000, 99, workers=1, block=8000)
-    b = ml.singularity_mc_sharded(3, 30000, 99, workers=2, block=8000)
+    # 30000 trials make two blocks, one per worker
+    a = ml.singularity_mc_sharded(3, 30000, 99, workers=1)
+    b = ml.singularity_mc_sharded(3, 30000, 99, workers=2)
     assert a.singular_count == b.singular_count
 
 
