@@ -29,8 +29,8 @@ v = gen_gap_vector(0, [1], [4], n, p, g)  # entries uniform in {1, 2, 3, 4}
 print(f"GAP vector, entries in {{1..4}}, n = {n}, p = {p.p}")
 for t in (Fraction(1, 2), Fraction(2), Fraction(8), Fraction(32)):
     q = level_set(v, t, p)
-    print(f"  |T_{float(t):<4g}(v)| = {q.size:3d}   members near 0: "
-          f"{sorted(m if m <= 50 else m - 101 for m in q.members)[:9]}")
+    print(f"  |T_{float(t):<4g}(v)| = {len(q):3d}   members near 0: "
+          f"{sorted(m if m <= 50 else m - 101 for m in q)[:9]}")
 
 f = frequency_set(v, p)
 print(f"frequency fingerprint F(v) = T_log p(v): {sorted(f)}")
@@ -41,7 +41,7 @@ print(f"coordinates of v outside C(F(v)): {outside} of {n}")
 print()
 
 t = Fraction(2)
-s = level_set(v, t, p).members
+s = level_set(v, t, p)
 count, holds = lemma_contain_check(v, s, t, p)
 print(f"containment lemma at t = {t}: escaped = {count} <= n/4 = {n // 4}: {holds}")
 print()

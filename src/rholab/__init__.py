@@ -22,7 +22,6 @@ from .anticoncentration import (
 )
 from .containers import (
     ContainerSet,
-    LevelSetQuery,
     container,
     frequency_set,
     gen_gap_vector,

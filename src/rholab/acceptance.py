@@ -73,7 +73,7 @@ def check_deterministic_lemmas(
         n = int(g.integers(130, 400))
         v = _random_vector(g, n, p)
         t = Fraction(int(g.integers(0, n + 1)), 128)  # 0 <= t <= n/128
-        members = sorted(level_set(v, t, p).members)
+        members = sorted(level_set(v, t, p))
         keep = g.random(len(members)) < 0.6
         s = frozenset(m for m, k in zip(members, keep) if k)
         count, holds = lemma_contain_check(v, s, t, p)

@@ -32,20 +32,6 @@ _GAP_ENUM_GUARD = 10**6
 
 
 @dataclass(frozen=True)
-class LevelSetQuery:
-    """T_t(v): the vector v, the threshold t and the member set; the weight
-    table that decided membership is not kept."""
-
-    v: ZpVector
-    t: Fraction
-    members: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class ContainerSet:
     """C(S) for a frequency set S, with exact membership."""
 
@@ -62,17 +48,17 @@ def frozen_log_threshold(p: PrimeModulus) -> Fraction:
     return Fraction(math.log(p.p))
 
 
-def level_set(v: ZpVector, t, p: PrimeModulus) -> LevelSetQuery:
-    """Exact T_t(v); cost O(n p)."""
+def level_set(v: ZpVector, t, p: PrimeModulus) -> frozenset[int]:
+    """Exact T_t(v), as its member set; cost O(n p)."""
     tf = Fraction(t)
     if tf < 0:
         raise PreconditionViolated("threshold must be >= 0")
-    return LevelSetQuery(v, tf, level_members(weight_table(v, p), tf, p))
+    return level_members(weight_table(v, p), tf, p)
 
 
 def frequency_set(w: ZpVector, p: PrimeModulus) -> frozenset[int]:
     """F(w) = T_{log p}(w)."""
-    return level_set(w, frozen_log_threshold(p), p).members
+    return level_set(w, frozen_log_threshold(p), p)
 
 
 def container(s, p: PrimeModulus) -> ContainerSet:
@@ -95,7 +81,7 @@ def lemma_contain_check(
     n = len(v)
     if 128 * tf > n:
         raise PreconditionViolated(f"need t <= n/128, got t={tf}, n={n}")
-    tset = level_set(v, tf, p).members
+    tset = level_set(v, tf, p)
     s = frozenset(int(k) % p.p for k in s)
     if not s <= tset:
         raise PreconditionViolated("S must be a subset of T_t(v)")

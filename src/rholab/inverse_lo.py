@@ -9,9 +9,12 @@ profile floor, the construction samples
     F(v_U) is inside T_t(v), and |T_{8 ell}(v)| <= 2 |F(v_U)|;
 
 and returns B = C(F(v_U)) together with every measured quantity needed to
-verify the containment and size properties.  All cardinality fractions bind
-to the ambient length of the vector actually passed in (the fibre iteration
-passes restrictions, whose ambient length is the live index set).
+verify the containment and size properties.  The level sets T_8ell(v) and
+T_t(v) depend on v alone: build_container decides them once, from one weight
+table, and both samplers test their draws against that one pair.  All
+cardinality fractions bind to the ambient length of the vector actually
+passed in (the fibre iteration passes restrictions, whose ambient length is
+the live index set).
 
 Certificates are re-verified from scratch by verify_certificate with exact
 arithmetic before being returned: zero trust in the construction path.
@@ -146,10 +149,6 @@ class ContainerCertificate:
         return tuple(vu + [0] * (m - len(vu)))
 
 
-def _mask_subset(n: int, density: float, rng: np.random.Generator) -> frozenset[int]:
-    return frozenset(np.flatnonzero(rng.random(n) < density).tolist())
-
-
 def _levels(v: ZpVector, p: PrimeModulus, profile: ConstantsProfile):
     """(ell, T_8ell(v), T_t(v)), both level sets read from one weight table."""
     ell = profile.ell(v.support_size)
@@ -165,7 +164,7 @@ def _y_failures(v: ZpVector, y, ell, t8, p: PrimeModulus):
     vy = v.restrict(y)
     if 4 * vy.support_size < v.support_size:
         yield "supportVY below supportV/4"
-    if not level_set(vy, ell, p).members <= t8:
+    if not level_set(vy, ell, p) <= t8:
         yield "T_ell(v_Y) escapes T_8ell(v)"
 
 
@@ -183,45 +182,48 @@ def _u_failures(u, m: int, t8, tt, f_of):
         yield "|T_8ell(v)| exceeds 2|F(v_U)|"
 
 
+def _draw_until(name: str, profile: ConstantsProfile, n: int, density: float, rng, failures):
+    """Draw density-random subsets x of range(n) until failures(x) yields nothing;
+    return (x, attempts used)."""
+    for attempt in range(1, profile.max_attempts + 1):
+        x = frozenset(np.flatnonzero(rng.random(n) < density).tolist())
+        if next(failures(x), None) is None:
+            return x, attempt
+    raise RetryExhausted(
+        f"{name} sampler exhausted {profile.max_attempts} attempts (profile {profile.name})"
+    )
+
+
 def sample_Y_with_attempts(
-    v: ZpVector,
-    p: PrimeModulus,
-    profile: ConstantsProfile,
-    rng: np.random.Generator,
+    v: ZpVector, p: PrimeModulus, profile: ConstantsProfile, levels, rng: np.random.Generator
 ) -> tuple[frozenset[int], int]:
     """Rejection-sample Y until the three Y-properties hold.
 
-    Assumes |v| >= the profile's support floor (enforced by build_container,
-    not here, so the sampler can be exercised at paper constants on desk
-    inputs).  Returns (Y, attempts used).
+    levels is (ell, T_8ell(v), T_t(v)) = _levels(v, p, profile), decided once
+    by the caller.  Assumes |v| >= the profile's support floor (enforced by
+    build_container, not here, so the sampler can be exercised at paper
+    constants on desk inputs).  Returns (Y, attempts used).
     """
-    n = len(v)
-    ell, t8, _ = _levels(v, p, profile)
-    for attempt in range(1, profile.max_attempts + 1):
-        y = _mask_subset(n, float(profile.y_density), rng)
-        if next(_y_failures(v, y, ell, t8, p), None) is None:
-            return y, attempt
-    raise RetryExhausted(
-        f"Y sampler exhausted {profile.max_attempts} attempts (profile {profile.name})"
+    ell, t8, _ = levels
+    return _draw_until(
+        "Y", profile, len(v), float(profile.y_density), rng,
+        lambda y: _y_failures(v, y, ell, t8, p),
     )
 
 
 def sample_U_with_attempts(
-    v: ZpVector,
-    p: PrimeModulus,
-    profile: ConstantsProfile,
-    rng: np.random.Generator,
+    v: ZpVector, p: PrimeModulus, profile: ConstantsProfile, levels, rng: np.random.Generator
 ) -> tuple[frozenset[int], int]:
-    """Rejection-sample U until |U| <= m, F(v_U) in T_t(v), |T_8ell| <= 2|F|."""
+    """Rejection-sample U until |U| <= m, F(v_U) in T_t(v), |T_8ell| <= 2|F|.
+
+    levels is _levels(v, p, profile), as for sample_Y_with_attempts.
+    Returns (U, attempts used).
+    """
+    _, t8, tt = levels
     m = profile.m(p)
-    density = profile.u_density(len(v), p)
-    _, t8, tt = _levels(v, p, profile)
-    for attempt in range(1, profile.max_attempts + 1):
-        u = _mask_subset(len(v), density, rng)
-        if next(_u_failures(u, m, t8, tt, lambda: frequency_set(v.restrict(u), p)), None) is None:
-            return u, attempt
-    raise RetryExhausted(
-        f"U sampler exhausted {profile.max_attempts} attempts (profile {profile.name})"
+    return _draw_until(
+        "U", profile, len(v), profile.u_density(len(v), p), rng,
+        lambda u: _u_failures(u, m, t8, tt, lambda: frequency_set(v.restrict(u), p)),
     )
 
 
@@ -255,8 +257,9 @@ def build_container(
     """Run the full construction and return a verified certificate.
 
     Preconditions: rho(v) >= rho_floor_coeff / p and |v| >= support floor.
-    Each attempt redraws Y and U from scratch; a certificate is returned only
-    after verify_certificate passes on it.
+    The level sets of v are decided once; each attempt redraws Y and U from
+    scratch, and a certificate is returned only after verify_certificate
+    passes on it.
     """
     v.validate(p)
     if v.support_size < profile.support_floor(p):
@@ -268,10 +271,11 @@ def build_container(
         raise PreconditionViolated(
             f"rho(v) = {rv.value} below floor {profile.rho_floor(p)}"
         )
+    levels = _levels(v, p, profile)
     last = None
     for _ in range(profile.max_attempts):
-        y = sample_Y_with_attempts(v, p, profile, rng)[0]
-        u = sample_U_with_attempts(v, p, profile, rng)[0]
+        y = sample_Y_with_attempts(v, p, profile, levels, rng)[0]
+        u = sample_U_with_attempts(v, p, profile, levels, rng)[0]
         b = container(frequency_set(v.restrict(u), p), p)
         rho_vy = rho(v.restrict(y), p)
         cert = ContainerCertificate(
@@ -295,12 +299,15 @@ def verify_certificate(
 ) -> tuple[bool, list[str]]:
     """Recompute every measured quantity from (v, Y, U, B) and check it.
 
-    Trusts nothing the construction reported: re-tests the Y/U properties with
-    the samplers' own predicates, recomputes C(F(v_U)) and rho(v_Y) (exact
+    Trusts nothing the construction reported: checks that Y and U index v,
+    decides the level sets of v afresh, re-tests the Y/U properties with the
+    samplers' own predicates, recomputes C(F(v_U)) and rho(v_Y) (exact
     DP), and decides the size bound by squaring both sides in integers.
     """
     n = len(v)
     y, u = cert.y, cert.u
+    if not all(0 <= i < n for i in y | u):
+        return False, ["Y or U leaves the index range [0, n)"]
     ell, t8, tt = _levels(v, p, profile)
     failures = list(_y_failures(v, y, ell, t8, p))
     f = frequency_set(v.restrict(u), p)
@@ -322,7 +329,7 @@ def verify_certificate(
     # Halasz-application inequality; its preconditions (ell >= 4 log p and
     # rho(v) >= 4/p, i.e. paper-profile scales) are vacuous on desk inputs.
     if float(ell) >= 4 * math.log(p.p) and rho(v, p).value >= Fraction(4, p.p):
-        size_ell_y = level_set(vy, ell, p).size
+        size_ell_y = len(level_set(vy, ell, p))
         app_bound = 2**13 * size_ell_y / (p.p * math.sqrt(v.support_size))
         if float(rho_vy.value) > app_bound + 1e-12:
             failures.append("Halasz application bound violated")

@@ -238,7 +238,9 @@ def singularity_exact(n: int) -> Fraction:
     all +1 (s = m_11, then d_j = s d_1 m_1j), so the singular fraction of the
     2^{n(n-1)/2} matrices with that first row is Pr(det M_n = 0).
     """
-    if not 1 <= n <= _EXACT_ENUM_GUARD:
+    if n < 1:
+        raise PreconditionViolated("n must be >= 1")
+    if n > _EXACT_ENUM_GUARD:
         raise GuardExceeded(f"exhaustive enumeration guard is n <= {_EXACT_ENUM_GUARD}")
     # single residue is exact here: n <= 6 gives |det| <= 6^3 < screen prime
     singular = sum(
@@ -282,6 +284,8 @@ def singular_count_block(n: int, bits: np.ndarray) -> int:
 
 def _trial_blocks(n: int, trials: int) -> list[int]:
     """Sizes of the Monte Carlo trial blocks: _MC_BLOCK each, the last one short."""
+    if n < 1:
+        raise PreconditionViolated("n must be >= 1")
     if n > _DET_GUARD:
         raise GuardExceeded(f"guard is n <= {_DET_GUARD}")
     if trials <= 0:

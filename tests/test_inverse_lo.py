@@ -8,6 +8,7 @@ from rholab.errors import PreconditionViolated
 from rholab.inverse_lo import (
     DESK_PROFILE,
     PAPER_PROFILE,
+    _levels,
     build_container,
     canonical_json,
     certificate_json,
@@ -59,7 +60,7 @@ def test_profile_roundtrip_from_dict():
 def test_sample_y_satisfies_acceptance_conditions():
     v = constant_vector(17, 256)
     g = substream(31, "sampley", 0)
-    y, _ = sample_Y_with_attempts(v, P101, DESK_PROFILE, g)
+    y, _ = sample_Y_with_attempts(v, P101, DESK_PROFILE, _levels(v, P101, DESK_PROFILE), g)
     n = len(v)
     assert n <= 4 * len(y) <= 2 * n
     assert 4 * v.restrict(y).support_size >= v.support_size
@@ -68,12 +69,12 @@ def test_sample_y_satisfies_acceptance_conditions():
 def test_sample_u_satisfies_acceptance_conditions():
     v = constant_vector(3, 256)
     g = substream(31, "sampleu", 0)
-    u, _ = sample_U_with_attempts(v, P101, DESK_PROFILE, g)
+    u, _ = sample_U_with_attempts(v, P101, DESK_PROFILE, _levels(v, P101, DESK_PROFILE), g)
     assert len(u) <= DESK_PROFILE.m(P101)
     f = frequency_set(v.restrict(u), P101)
     from rholab.containers import level_set
 
-    assert f <= level_set(v, DESK_PROFILE.t(len(v)), P101).members
+    assert f <= level_set(v, DESK_PROFILE.t(len(v)), P101)
 
 
 def test_paper_profile_samplers_accept_quickly_at_tiny_p():
@@ -81,14 +82,15 @@ def test_paper_profile_samplers_accept_quickly_at_tiny_p():
     # failure rate stays below 1/4 and acceptance averages <= 4 attempts.
     p5 = PrimeModulus(5)
     v = constant_vector(2, 512)
+    levels = _levels(v, p5, PAPER_PROFILE)
     runs = 100
     y_attempts = 0
     u_attempts = 0
     for i in range(runs):
         g = substream(32, "papery", i)
-        y, a = sample_Y_with_attempts(v, p5, PAPER_PROFILE, g)
+        y, a = sample_Y_with_attempts(v, p5, PAPER_PROFILE, levels, g)
         y_attempts += a
-        u, b = sample_U_with_attempts(v, p5, PAPER_PROFILE, g)
+        u, b = sample_U_with_attempts(v, p5, PAPER_PROFILE, levels, g)
         u_attempts += b
         assert len(u) <= PAPER_PROFILE.m(p5)
     assert y_attempts / runs <= 4
@@ -102,13 +104,14 @@ def test_paper_profile_proof_chain_on_accepted_samples():
 
     p5 = PrimeModulus(5)
     v = constant_vector(2, 512)
+    levels = _levels(v, p5, PAPER_PROFILE)
     for i in range(10):
         g = substream(36, "chain", i)
-        y, _ = sample_Y_with_attempts(v, p5, PAPER_PROFILE, g)
-        u, _ = sample_U_with_attempts(v, p5, PAPER_PROFILE, g)
+        y, _ = sample_Y_with_attempts(v, p5, PAPER_PROFILE, levels, g)
+        u, _ = sample_U_with_attempts(v, p5, PAPER_PROFILE, levels, g)
         ell = PAPER_PROFILE.ell(v.support_size)
-        t_ell_y = level_set(v.restrict(y), ell, p5).size
-        t8 = level_set(v, 8 * ell, p5).size
+        t_ell_y = len(level_set(v.restrict(y), ell, p5))
+        t8 = len(level_set(v, 8 * ell, p5))
         f = frequency_set(v.restrict(u), p5)
         assert t_ell_y <= t8 <= 2 * len(f)
         b = container(f, p5)
@@ -132,6 +135,30 @@ def test_build_container_certificate_on_constant_vector():
     assert len(fam) == DESK_PROFILE.m(P101)
     assert set(fam) <= {0, 17}
     assert frequency_set(ZpVector(fam), P101) == frequency_set(v.restrict(cert.u), P101)
+
+
+def test_build_container_decides_levels_of_v_once(monkeypatch):
+    # one weight table of v for the construction, and one more in each
+    # independent re-verification
+    import rholab.inverse_lo as ilo
+
+    v = constant_vector(17, 512)
+    on_v, verified = [], []
+    weight_table, verify = ilo.weight_table, ilo.verify_certificate
+
+    def counting_table(w, p):
+        on_v.append(w == v)
+        return weight_table(w, p)
+
+    def counting_verify(*args):
+        verified.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(ilo, "weight_table", counting_table)
+    monkeypatch.setattr(ilo, "verify_certificate", counting_verify)
+    build_container(v, P101, DESK_PROFILE, substream(33, "build", 0))
+    assert verified
+    assert sum(on_v) == 1 + len(verified)
 
 
 def test_build_container_rejects_low_rho():
@@ -172,6 +199,17 @@ def test_verify_certificate_catches_tampering():
     tampered = replace(cert, rho_vy=replace(cert.rho_vy, count=cert.rho_vy.count + 1))
     ok, errs = verify_certificate(v, P101, DESK_PROFILE, tampered)
     assert not ok and any("rhoVY" in e for e in errs)
+    # shift Y and U below 0: negative indices still read entries of v
+    n = len(v)
+    tampered = replace(
+        cert, y=frozenset(i - n for i in cert.y), u=frozenset(i - n for i in cert.u)
+    )
+    ok, errs = verify_certificate(v, P101, DESK_PROFILE, tampered)
+    assert not ok and any("[0, n)" in e for e in errs)
+    # an index past the end is a failure, not an IndexError
+    tampered = replace(cert, y=cert.y | {n})
+    ok, errs = verify_certificate(v, P101, DESK_PROFILE, tampered)
+    assert not ok and any("[0, n)" in e for e in errs)
 
 
 def test_build_container_paper_profile_rejects_desk_support():
@@ -187,14 +225,20 @@ def test_sampler_retry_exhausted_on_impossible_profile():
 
     from rholab.errors import RetryExhausted
 
+    v = constant_vector(4, 256)
+    g = substream(34, "hostile", 0)
     # Y density 1/1000 makes |Y| >= n/4 essentially impossible
     hostile = dc_replace(
         DESK_PROFILE, name="hostile", y_density=Fraction(1, 1000), max_attempts=5
     )
-    v = constant_vector(4, 256)
-    g = substream(34, "hostile", 0)
-    with pytest.raises(RetryExhausted):
-        sample_Y_with_attempts(v, P101, hostile, g)
+    with pytest.raises(RetryExhausted, match=r"Y sampler exhausted 5 attempts \(profile hostile\)"):
+        sample_Y_with_attempts(v, P101, hostile, _levels(v, P101, hostile), g)
+    # U density near 0 leaves U empty, and F(v_U) = Z_p escapes T_t(v)
+    hostile = dc_replace(
+        DESK_PROFILE, name="hostile-u", u_density_coeff=Fraction(1, 10**6), max_attempts=5
+    )
+    with pytest.raises(RetryExhausted, match=r"U sampler exhausted 5 attempts \(profile hostile-u\)"):
+        sample_U_with_attempts(v, P101, hostile, _levels(v, P101, hostile), g)
 
 
 def test_certificate_serialization_deterministic():

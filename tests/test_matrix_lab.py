@@ -230,6 +230,24 @@ def test_singularity_exact_guard():
         ml.singularity_exact(7)
 
 
+def test_singularity_entry_points_reject_n_below_one(capsys):
+    import json
+
+    from rholab.cli import cli_dispatch
+
+    for call in (
+        lambda: ml.singularity_exact(0),
+        lambda: ml.singularity_mc_sharded(-3, 10, 1),
+        lambda: ml.rank_profile_mc(0, 10, P5, substream(51, "n0", 0)),
+    ):
+        with pytest.raises(PreconditionViolated, match="n must be >= 1"):
+            call()
+    code = cli_dispatch(["singularity", "--mc", "--n", "-3", "--trials", "10"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert json.loads(err) == {"failures": {"error": "n must be >= 1"}}
+
+
 def test_wilson_interval():
     lo, hi = ml.wilson_interval(50, 100)
     assert lo < 0.5 < hi
