@@ -67,7 +67,6 @@ from .zp_core import (
     ZpVector,
     next_prime,
     term_weight,
-    zp_vector,
 )
 
 __version__ = "0.1.0"

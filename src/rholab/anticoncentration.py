@@ -66,9 +66,6 @@ class ExactDistribution:
     counts: dict[int, int]
     log2_denominator: int
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 @dataclass(frozen=True)
 class RhoResult:

@@ -2,7 +2,8 @@
 
 Subcommands: rho, halasz, container, fibre, singularity, identities,
 verify-all.  Exit codes: 0 all invoked checks pass, 1 an invariant failed
-(machine-readable JSON report on stderr), 2 usage error (argparse).
+(machine-readable JSON report on stderr), 2 usage error (argparse, an
+unreadable input or profile file, or a --beta that is not a fraction).
 Identical configs (seed included) produce byte-identical artifacts,
 regardless of --workers.
 """
@@ -25,14 +26,7 @@ from .errors import (
     VectorParseError,
 )
 from .fibres import fibre_cases, trace_to_doc
-from .harness import (
-    ExperimentConfig,
-    ExperimentRecord,
-    failure_report,
-    load_vectors,
-    write_csv,
-    write_json,
-)
+from .harness import failure_report, load_vectors, write_csv, write_json, write_record
 from .inverse_lo import (
     DESK_PROFILE,
     PROFILES,
@@ -51,7 +45,16 @@ def _profile(spec: str):
     if spec in PROFILES:
         return PROFILES[spec]
     if spec.startswith("file:"):
-        return profile_from_dict(json.loads(Path(spec[5:]).read_text()))
+        path = spec[5:]
+        try:
+            d = json.loads(Path(path).read_text())
+            if not isinstance(d, dict):
+                raise ValueError("not a JSON object")
+            return profile_from_dict(d)
+        except KeyError as exc:
+            raise _UsageError(f"profile file {path} lacks field {exc}") from exc
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise _UsageError(f"profile file {path}: {exc}") from exc
     raise _UsageError(f"unknown profile {spec!r} (use paper, desk, or file:<path>)")
 
 
@@ -97,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=1024)
     sp.add_argument("--p", type=int, default=101)
     sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--trace-out", default=None)
 
     sp = sub.add_parser("singularity", help="exact or Monte Carlo singularity")
     _add_common(sp, "seed", "out", "format", "workers")
@@ -219,8 +221,6 @@ def cmd_fibre(args) -> int:
         trace = case.result
         rows.append([case.idx, p.p, args.n, trace.k_star, trace.terminal_support, case.ok])
         traces.append({"idx": case.idx, "trace": trace_to_doc(trace), "audit": case.audit.checks})
-    if args.trace_out:
-        write_json(args.trace_out, {"traces": traces})
     return _emit(args, header, rows, {"traces": traces},
                  {"fibre_failures": bad} if bad else None)
 
@@ -251,6 +251,10 @@ def cmd_singularity(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    try:
+        beta = None if args.beta is None else Fraction(args.beta)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _UsageError(f"--beta {args.beta!r} is not a fraction") from exc
     k = args.cases
     res = acceptance.check_identities(
         args.seed, decouple_cases=k, prob_cases=k, odlyzko_cases=k,
@@ -263,8 +267,7 @@ def cmd_identities(args) -> int:
     doc = {"identities": res, "deterministic_lemmas": lemmas}
     rows = [["identities", res["ok"], res["violations"], res["cases"]],
             ["deterministic_lemmas", lemmas["ok"], lemmas["violations"], lemmas["cases"]]]
-    if args.beta is not None:
-        beta = Fraction(args.beta)
+    if beta is not None:
         p = PrimeModulus(args.p)
         q_max, w_max = ml.q_exact_max(args.n, p, beta, strict=False)
         doc["q_probe"] = {
@@ -287,15 +290,13 @@ def cmd_verify_all(args) -> int:
         write_json(out_dir / "verify_all.json", doc)
         # worker count stays out of the logical config: artifacts must be
         # byte-identical for any parallelism (it is logged to stderr instead)
-        record = ExperimentRecord(
-            ExperimentConfig(
-                "verify-all", args.seed, DESK_PROFILE.name, {"quick": args.quick}
-            ),
-            outputs={k: v["name"] for k, v in doc["criteria"].items()},
-            invariant_flags={k: v["ok"] for k, v in doc["criteria"].items()},
-        )
         print(f"[verify-all] workers={args.workers}", file=sys.stderr)
-        record.emit(out_dir / "record.json")
+        write_record(
+            out_dir / "record.json", "verify-all", args.seed, DESK_PROFILE.name,
+            {"quick": args.quick},
+            outputs={k: v["name"] for k, v in doc["criteria"].items()},
+            invariants={k: v["ok"] for k, v in doc["criteria"].items()},
+        )
         mc = doc["criteria"]["9"]
         rows = []
         for rec in mc["intervals"]:
@@ -334,7 +335,7 @@ def cli_dispatch(argv) -> int:
     except (PreconditionViolated, RetryExhausted, GuardExceeded) as exc:
         print(failure_report({"error": str(exc)}), file=sys.stderr)
         return 1
-    except (FileNotFoundError, VectorParseError, _UsageError) as exc:
+    except (OSError, VectorParseError, _UsageError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

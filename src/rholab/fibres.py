@@ -187,8 +187,7 @@ def fibre_cases(
 
     def run(v, g):
         trace = run_fibre(v, p, profile, g)
-        report = audit_trace(v, trace, profile)
-        return trace, report, report.ok
+        return trace, audit_trace(v, trace, profile)
 
     return _constant_cases(seed, label, count, n, p, run)
 
@@ -244,10 +243,6 @@ def trace_to_doc(trace: FibreTrace) -> dict:
     }
 
 
-def trace_json(trace: FibreTrace) -> str:
-    return canonical_json(trace_to_doc(trace))
-
-
 def trace_fingerprint(trace: FibreTrace) -> str:
     """Hashable fibre identity: vectors in one fibre share this string."""
     doc = trace_to_doc(trace)
@@ -266,6 +261,5 @@ __all__ = [
     "fibre_count_bound",
     "support_threshold",
     "trace_to_doc",
-    "trace_json",
     "trace_fingerprint",
 ]

@@ -1,4 +1,4 @@
-"""Experiment plumbing: vector files, canonical artifacts, experiment records.
+"""Experiment plumbing: vector files, canonical artifacts, run records.
 
 Vector file format, one vector per line:
 
@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,61 +102,18 @@ def write_json(path, doc) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    seed: int
-    profile: str
-    params: dict
+def write_record(path, command: str, seed: int, profile: str, params: dict,
+                 outputs: dict, invariants: dict) -> str:
+    """Write the self-describing run record of one experiment.
 
-    def digest(self) -> str:
-        return hashlib.sha256(
-            canonical_json(
-                {
-                    "command": self.command,
-                    "seed": self.seed,
-                    "profile": self.profile,
-                    "params": self.params,
-                }
-            ).encode()
-        ).hexdigest()
-
-
-@dataclass
-class ExperimentRecord:
-    """Self-describing run record.
-
-    The timestamp is deliberately not part of the canonical artifact (it
-    would break byte-identical reruns); emit() logs it to stderr instead.
+    The record names its config by digest.  The wall-clock time is logged to
+    stderr, not written: it would break byte-identical reruns.
     """
-
-    config: ExperimentConfig
-    outputs: dict
-    invariant_flags: dict = field(default_factory=dict)
-    timestamp: float = field(default_factory=time.time)
-
-    def to_doc(self) -> dict:
-        return {
-            "configDigest": self.config.digest(),
-            "command": self.config.command,
-            "seed": self.config.seed,
-            "profile": self.config.profile,
-            "params": self.config.params,
-            "outputs": self.outputs,
-            "invariants": self.invariant_flags,
-        }
-
-    def emit(self, path=None) -> str:
-        print(
-            f"[{self.config.command}] config {self.config.digest()[:12]} "
-            f"at unix {self.timestamp:.0f}",
-            file=sys.stderr,
-        )
-        return write_json(path, self.to_doc())
-
-    @property
-    def ok(self) -> bool:
-        return all(self.invariant_flags.values())
+    config = {"command": command, "seed": seed, "profile": profile, "params": params}
+    digest = hashlib.sha256(canonical_json(config).encode()).hexdigest()
+    print(f"[{command}] config {digest[:12]} at unix {time.time():.0f}", file=sys.stderr)
+    return write_json(path, {"configDigest": digest, **config,
+                             "outputs": outputs, "invariants": invariants})
 
 
 def failure_report(failures: dict) -> str:

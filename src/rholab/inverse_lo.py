@@ -16,8 +16,11 @@ cardinality fractions bind to the ambient length of the vector actually
 passed in (the fibre iteration passes restrictions, whose ambient length is
 the live index set).
 
-Certificates are re-verified from scratch by verify_certificate with exact
-arithmetic before being returned: zero trust in the construction path.
+B, rho(v_Y) and the measured quantities are functions of (v, Y, U) alone, and
+_certificate is the one place that derives them.  build_container returns a
+certificate only after verify_certificate re-derives it from (v, Y, U) with
+exact arithmetic and re-tests every property: zero trust in the construction
+path.
 """
 
 from __future__ import annotations
@@ -130,9 +133,8 @@ class ContainerCertificate:
     """(Y, U, B) plus the measured quantities proving the properties.
 
     measured keys: sizeY, supportVY, outsideCount, sizeB, rhoVY (exact
-    rational), supportV.  B is determined by the tuple v_U padded with zeros
-    to length m, which is the family index asserting membership of B in the
-    p^m-sized container family.
+    rational), supportV.  B = C(F(v_U)) depends on v_U alone, so v_U padded
+    with zeros to length m indexes B in the p^m-sized container family.
     """
 
     p: int
@@ -142,11 +144,6 @@ class ContainerCertificate:
     b: ContainerSet
     rho_vy: RhoResult
     measured: dict
-
-    def family_index(self, profile: ConstantsProfile, v: ZpVector) -> tuple[int, ...]:
-        m = profile.m(PrimeModulus(self.p))
-        vu = [v.entries[i] for i in sorted(self.u)]
-        return tuple(vu + [0] * (m - len(vu)))
 
 
 def _levels(v: ZpVector, p: PrimeModulus, profile: ConstantsProfile):
@@ -236,16 +233,22 @@ def _size_bound_holds(
     return lhs <= rhs
 
 
-def _measured(v: ZpVector, y, b: ContainerSet, rho_vy: RhoResult) -> dict:
-    """The six measured quantities of a certificate with these Y, B, rho(v_Y)."""
-    return {
+def _certificate(v: ZpVector, p: PrimeModulus, y, u) -> ContainerCertificate:
+    """The certificate (Y, U) fixes: B = C(F(v_U)), rho(v_Y) and the six
+    measured quantities, all derived from v."""
+    b = container(frequency_set(v.restrict(u), p), p)
+    rho_vy = rho(v.restrict(y), p)
+    measured = {
         "sizeY": len(y),
-        "supportVY": v.restrict(y).support_size,
+        "supportVY": len(v.support & y),
         "outsideCount": sum(1 for e in v.entries if e not in b.members),
         "sizeB": b.size,
         "rhoVY": rho_vy.value,
         "supportV": v.support_size,
     }
+    return ContainerCertificate(
+        p=p.p, n=len(v), y=y, u=u, b=b, rho_vy=rho_vy, measured=measured
+    )
 
 
 def build_container(
@@ -276,11 +279,7 @@ def build_container(
     for _ in range(profile.max_attempts):
         y = sample_Y_with_attempts(v, p, profile, levels, rng)[0]
         u = sample_U_with_attempts(v, p, profile, levels, rng)[0]
-        b = container(frequency_set(v.restrict(u), p), p)
-        rho_vy = rho(v.restrict(y), p)
-        cert = ContainerCertificate(
-            p=p.p, n=len(v), y=y, u=u, b=b, rho_vy=rho_vy, measured=_measured(v, y, b, rho_vy)
-        )
+        cert = _certificate(v, p, y, u)
         ok, failures = verify_certificate(v, p, profile, cert)
         if ok:
             return cert
@@ -297,43 +296,39 @@ def verify_certificate(
     profile: ConstantsProfile,
     cert: ContainerCertificate,
 ) -> tuple[bool, list[str]]:
-    """Recompute every measured quantity from (v, Y, U, B) and check it.
+    """Re-derive the certificate from (v, Y, U) and check it.
 
     Trusts nothing the construction reported: checks that Y and U index v,
-    decides the level sets of v afresh, re-tests the Y/U properties with the
-    samplers' own predicates, recomputes C(F(v_U)) and rho(v_Y) (exact
-    DP), and decides the size bound by squaring both sides in integers.
+    decides the level sets of v afresh, re-derives B, rho(v_Y) (exact DP)
+    and the measured quantities with _certificate, re-tests the Y/U
+    properties with the samplers' own predicates, decides the size bound by
+    squaring both sides in integers, and fails a certificate whose B,
+    rho(v_Y) or measured quantities differ from the re-derived ones.
     """
     n = len(v)
     y, u = cert.y, cert.u
     if not all(0 <= i < n for i in y | u):
         return False, ["Y or U leaves the index range [0, n)"]
     ell, t8, tt = _levels(v, p, profile)
+    fresh = _certificate(v, p, y, u)
     failures = list(_y_failures(v, y, ell, t8, p))
-    f = frequency_set(v.restrict(u), p)
-    failures += _u_failures(u, profile.m(p), t8, tt, lambda: f)
-    if container(f, p).members != cert.b.members or cert.b.s != f:
-        failures.append("B is not the container of F(v_U)")
-    vy = v.restrict(y)
-    rho_vy = rho(vy, p)
-    checked = _measured(v, y, cert.b, rho_vy)
-    outside = checked["outsideCount"]
-    if outside != cert.measured["outsideCount"] or 4 * outside > n:
-        failures.append("outsideCount exceeds n/4 or is misreported")
-    if rho_vy.value != cert.rho_vy.value:
-        failures.append("rhoVY misreported")
-    if not _size_bound_holds(
-        cert.b.size, rho_vy, v.support_size, profile.size_const
-    ):
+    failures += _u_failures(u, profile.m(p), t8, tt, lambda: fresh.b.s)
+    if 4 * fresh.measured["outsideCount"] > n:
+        failures.append("outsideCount exceeds n/4")
+    if not _size_bound_holds(fresh.b.size, fresh.rho_vy, v.support_size, profile.size_const):
         failures.append("size bound |B| rho(v_Y) sqrt(|v|) > sizeConst")
     # Halasz-application inequality; its preconditions (ell >= 4 log p and
     # rho(v) >= 4/p, i.e. paper-profile scales) are vacuous on desk inputs.
     if float(ell) >= 4 * math.log(p.p) and rho(v, p).value >= Fraction(4, p.p):
-        size_ell_y = len(level_set(vy, ell, p))
+        size_ell_y = len(level_set(v.restrict(y), ell, p))
         app_bound = 2**13 * size_ell_y / (p.p * math.sqrt(v.support_size))
-        if float(rho_vy.value) > app_bound + 1e-12:
+        if float(fresh.rho_vy.value) > app_bound + 1e-12:
             failures.append("Halasz application bound violated")
-    if checked != cert.measured:
+    if cert.b != fresh.b:
+        failures.append("B is not the container of F(v_U)")
+    if cert.rho_vy.value != fresh.rho_vy.value:
+        failures.append("rhoVY misreported")
+    if cert.measured != fresh.measured:
         failures.append("measured quantities do not match recomputation")
     return not failures, failures
 
@@ -341,20 +336,24 @@ def verify_certificate(
 @dataclass(frozen=True)
 class Case:
     """Case idx of a constant-vector experiment on v = (c,) * n: the certificate
-    or fibre trace built (result), what its re-check found (audit: the failure
-    list or the AuditReport), or the message of the error that stopped the run."""
+    or fibre trace built (result), the AuditReport of a fibre trace (audit;
+    None for a certificate, which build_container has verified), or the
+    message of the error that stopped the run."""
 
     idx: int
     v: ZpVector
     result: object = None
     audit: object = None
-    ok: bool = False
     error: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None and (self.audit is None or self.audit.ok)
 
 
 def _constant_cases(seed: int, label: str, count: int, n: int, p: PrimeModulus, run):
     """Cases 0..count-1: case i draws c from substream(seed, label, i), sets
-    v = (c,) * n and calls run(v, g) -> (result, audit, ok) on the same stream."""
+    v = (c,) * n and calls run(v, g) -> (result, audit) on the same stream."""
     for i in range(count):
         g = substream(seed, label, i)
         v = ZpVector((int(g.integers(1, p.p)),) * n)
@@ -368,14 +367,10 @@ def _constant_cases(seed: int, label: str, count: int, n: int, p: PrimeModulus, 
 def certificate_cases(
     seed: int, label: str, count: int, n: int, p: PrimeModulus, profile: ConstantsProfile
 ):
-    """Build and independently re-verify a certificate for each constant-vector case."""
-
-    def run(v, g):
-        cert = build_container(v, p, profile, g)
-        ok, failures = verify_certificate(v, p, profile, cert)
-        return cert, failures, ok
-
-    return _constant_cases(seed, label, count, n, p, run)
+    """Build a certificate, verified by build_container, for each constant-vector case."""
+    return _constant_cases(
+        seed, label, count, n, p, lambda v, g: (build_container(v, p, profile, g), None)
+    )
 
 
 def certificate_to_doc(cert: ContainerCertificate) -> dict:

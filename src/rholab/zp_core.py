@@ -123,10 +123,6 @@ class ZpVector:
         )
 
     @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
     def support_size(self) -> int:
         return len(self.support)
 
@@ -148,13 +144,6 @@ class ZpVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.entries, dtype=np.int64)
-
-
-def zp_vector(entries, p: PrimeModulus | None = None) -> ZpVector:
-    """Build a ZpVector, canonicalising entries when a modulus is given."""
-    if p is not None:
-        return ZpVector(tuple(int(e) % p.p for e in entries))
-    return ZpVector(tuple(int(e) for e in entries))
 
 
 def check_table_size(n: int, p: PrimeModulus) -> None:

@@ -64,7 +64,7 @@ def test_unread_options_are_rejected(tmp_path, capsys):
         ("rho", "--vectors", str(vf)): ["--seed", "--profile", "--workers"],
         ("halasz", "--vectors", str(vf)): ["--seed", "--profile", "--workers"],
         ("container", "--count", "0"): ["--workers"],
-        ("fibre", "--count", "0"): ["--workers"],
+        ("fibre", "--count", "0"): ["--workers", "--trace-out"],
         ("singularity", "--exact", "--n", "2"): ["--profile"],
         ("identities", "--cases", "1"): ["--profile", "--workers"],
         ("verify-all", "--quick"): ["--format", "--profile"],
@@ -182,7 +182,7 @@ def test_fibre_subcommand_with_traces(tmp_path, capsys):
     code, _, err = run(
         capsys,
         ["fibre", "--n", "512", "--p", "101", "--count", "1", "--seed", "3",
-         "--trace-out", str(traces), "--format", "json", "--out", str(tmp_path / "s.json")],
+         "--format", "json", "--out", str(traces)],
     )
     assert code == 0, err
     doc = json.loads(traces.read_text())
@@ -224,6 +224,30 @@ def test_malformed_vector_file_exits_2(tmp_path, capsys):
 def test_unknown_profile_exits_2(capsys):
     code, _, err = run(capsys, ["container", "--profile", "nope", "--count", "1"])
     assert code == 2
+
+
+def _usage_error(capsys, argv):
+    """Run argv, expect exit 2 with a one-line message on stderr, return it."""
+    code, out, err = run(capsys, argv)
+    assert code == 2, (argv, err)
+    assert out == "" and len(err.strip().splitlines()) == 1, (argv, err)
+    return err
+
+
+def test_bad_profile_file_exits_2(tmp_path, capsys):
+    _usage_error(capsys, ["container", "--profile", f"file:{tmp_path}", "--count", "1"])
+    pf = tmp_path / "profile.json"
+    pf.write_text("{not json")
+    _usage_error(capsys, ["container", "--profile", f"file:{pf}", "--count", "1"])
+    pf.write_text(json.dumps({"m_coeff": 13}))
+    err = _usage_error(capsys, ["container", "--profile", f"file:{pf}", "--count", "1"])
+    assert "support_floor_coeff" in err
+
+
+def test_bad_beta_exits_2(capsys):
+    for beta in ("abc", "1/0"):
+        err = _usage_error(capsys, ["identities", "--cases", "1", "--beta", beta])
+        assert "--beta" in err
 
 
 def test_guard_exceeded_exits_1(capsys):

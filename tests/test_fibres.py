@@ -7,8 +7,9 @@ from rholab.fibres import (
     run_fibre,
     support_threshold,
     trace_fingerprint,
-    trace_json,
+    trace_to_doc,
 )
+from rholab.harness import canonical_json
 from rholab.inverse_lo import DESK_PROFILE
 from rholab.rng import substream
 from rholab.zp_core import PrimeModulus, ZpVector
@@ -58,7 +59,7 @@ def test_trace_determinism_byte_for_byte():
     v = ZpVector((9,) * 1024)
     t1 = run_fibre(v, P101, DESK_PROFILE, substream(42, "det", 7))
     t2 = run_fibre(v, P101, DESK_PROFILE, substream(42, "det", 7))
-    assert trace_json(t1) == trace_json(t2)
+    assert canonical_json(trace_to_doc(t1)) == canonical_json(trace_to_doc(t2))
 
 
 def test_audit_catches_tampering():

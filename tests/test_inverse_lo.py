@@ -131,7 +131,8 @@ def test_build_container_certificate_on_constant_vector():
     assert cert.b.members == container(frequency_set(v.restrict(cert.u), P101), P101).members
     # the family index pads v_U with zeros up to m; zero entries add no
     # weight, so the padded tuple indexes the same container in the p^m family
-    fam = cert.family_index(DESK_PROFILE, v)
+    vu = [v.entries[i] for i in sorted(cert.u)]
+    fam = tuple(vu + [0] * (DESK_PROFILE.m(P101) - len(vu)))
     assert len(fam) == DESK_PROFILE.m(P101)
     assert set(fam) <= {0, 17}
     assert frequency_set(ZpVector(fam), P101) == frequency_set(v.restrict(cert.u), P101)
@@ -159,6 +160,32 @@ def test_build_container_decides_levels_of_v_once(monkeypatch):
     build_container(v, P101, DESK_PROFILE, substream(33, "build", 0))
     assert verified
     assert sum(on_v) == 1 + len(verified)
+
+
+def test_certificate_cases_verify_only_inside_build_container(monkeypatch):
+    # build_container returns only verified certificates, so the case runner
+    # adds no second verification of its own
+    import rholab.inverse_lo as ilo
+
+    depth, outside, inside = [0], [], []
+    build, verify = ilo.build_container, ilo.verify_certificate
+
+    def tracked_build(*args):
+        depth[0] += 1
+        try:
+            return build(*args)
+        finally:
+            depth[0] -= 1
+
+    def tracked_verify(*args):
+        (inside if depth[0] else outside).append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(ilo, "build_container", tracked_build)
+    monkeypatch.setattr(ilo, "verify_certificate", tracked_verify)
+    cases = list(ilo.certificate_cases(1, "x", 5, 512, P101, DESK_PROFILE))
+    assert all(case.ok for case in cases)
+    assert inside and not outside
 
 
 def test_build_container_rejects_low_rho():

@@ -17,7 +17,6 @@ from rholab.zp_core import (
     next_prime,
     term_weight,
     weight_table,
-    zp_vector,
 )
 
 
@@ -94,18 +93,13 @@ def test_level_mask_matches_cross_multiplication(w, t, p):
 
 def test_zp_vector_support_and_restrict():
     v = ZpVector((0, 3, 0, 2, 1))
-    assert v.n == 5
+    assert len(v) == 5
     assert v.support == frozenset({1, 3, 4})
     assert v.support_size == 3
     assert v.restrict({1, 3}).entries == (3, 2)
-    assert v.concat(v).n == 10
+    assert len(v.concat(v)) == 10
     with pytest.raises(PreconditionViolated):
         v.validate(PrimeModulus(2**31 - 1)) and ZpVector((5,)).validate(PrimeModulus(5))
-
-
-def test_zp_vector_helper_canonicalises():
-    p = PrimeModulus(7)
-    assert zp_vector([-1, 9], p).entries == (6, 2)
 
 
 def test_weight_table_matches_scalar():
