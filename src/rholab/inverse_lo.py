@@ -113,6 +113,9 @@ PROFILES = {"paper": PAPER_PROFILE, "desk": DESK_PROFILE}
 
 
 def profile_from_dict(d: dict) -> ConstantsProfile:
+    max_attempts = int(d.get("max_attempts", 1000))
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     return ConstantsProfile(
         name=d.get("name", "custom"),
         support_floor_coeff=float(d["support_floor_coeff"]),
@@ -124,7 +127,7 @@ def profile_from_dict(d: dict) -> ConstantsProfile:
         u_density_coeff=Fraction(d["u_density_coeff"]),
         rho_floor_coeff=Fraction(d["rho_floor_coeff"]),
         support_threshold_coeff=int(d["support_threshold_coeff"]),
-        max_attempts=int(d.get("max_attempts", 1000)),
+        max_attempts=max_attempts,
     )
 
 

@@ -10,6 +10,13 @@ fraction-free (Bareiss) elimination.  The CRT determinant det_exact is an
 independent cross-check of Bareiss, not part of the count.  False
 nonsingulars are impossible, false singulars are confirmed away, so Monte
 Carlo counts are exact counts.
+
+Number formats: per-matrix work (determinants, ranks, RREF, inverses,
+adjugates, identity checks) reads every entry with int() into Python ints,
+held in numpy object arrays where a matmul reads better; it is exact for
+every prime PrimeModulus accepts and needs no guard.  The batched kernels
+(batch_rank_mod_p, odlyzko_check's sign-vector reduction, _solution_counts)
+work in int64 and raise GuardExceeded before a value could reach 2^63.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ def sample_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def det_bareiss(mat) -> int:
     """Fraction-free elimination; exact integer determinant."""
-    a = [[int(x) for x in row] for row in np.asarray(mat)]
+    a = [[int(x) for x in row] for row in mat]
     n = len(a)
     sign = 1
     prev = 1
@@ -111,7 +118,7 @@ def _rref(a: list[list[int]], p: int) -> tuple[list[int], int]:
 
 
 def _residues(mat, p: int) -> list[list[int]]:
-    return [[int(x) % p for x in row] for row in np.asarray(mat)]
+    return [[int(x) % p for x in row] for row in mat]
 
 
 def _det_mod(mat, p: int) -> int:
@@ -141,17 +148,17 @@ def det_exact(mat) -> int:
     prod_i ||row_i|| caps |det|, and the prime set's product exceeds twice
     that bound (for +-1 matrices it is n^{n/2}).
     """
-    arr = np.asarray(mat)
-    n = arr.shape[0]
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
     if n > _DET_GUARD:
         raise GuardExceeded(f"det_exact guard is n <= {_DET_GUARD}")
     if n == 0:
         return 1
-    hadamard = math.isqrt(math.prod(sum(int(x) ** 2 for x in row) for row in arr)) + 1
+    hadamard = math.isqrt(math.prod(sum(x * x for x in row) for row in a)) + 1
     x = 0
     mod = 1
     for p in _crt_primes(hadamard):
-        r = _det_mod(arr, p)
+        r = _det_mod(a, p)
         # incremental CRT
         t = (r - x) * pow(mod % p, p - 2, p) % p
         x = x + mod * t
@@ -179,13 +186,11 @@ def rref_mod_p(mat, p: PrimeModulus | int) -> tuple[list[list[int]], list[int]]:
 
 def _bits_to_sym(bits: np.ndarray, n: int) -> np.ndarray:
     """[B, n(n+1)/2] in {0,1} -> [B, n, n] symmetric +-1 matrices."""
-    b = bits.shape[0]
-    iu = np.triu_indices(n)
-    a = np.zeros((b, n, n), dtype=np.int64)
-    a[:, iu[0], iu[1]] = bits * 2 - 1
-    at = np.transpose(a, (0, 2, 1)).copy()
-    a = a + at
-    a[:, np.arange(n), np.arange(n)] //= 2
+    rows, cols = np.triu_indices(n)
+    signs = bits * 2 - 1
+    a = np.empty((bits.shape[0], n, n), dtype=np.int64)
+    a[:, rows, cols] = signs
+    a[:, cols, rows] = signs
     return a
 
 
@@ -242,11 +247,7 @@ def singularity_exact(n: int) -> Fraction:
         raise PreconditionViolated("n must be >= 1")
     if n > _EXACT_ENUM_GUARD:
         raise GuardExceeded(f"exhaustive enumeration guard is n <= {_EXACT_ENUM_GUARD}")
-    # single residue is exact here: n <= 6 gives |det| <= 6^3 < screen prime
-    singular = sum(
-        int((batch_rank_mod_p(mats, _SCREEN_PRIME) < n).sum())
-        for mats in _sym_chunks(n, fixed=n)
-    )
+    singular = sum(singular_count_block(n, bits) for bits in _sym_chunks(n, fixed=n))
     return Fraction(singular, 1 << (n * (n - 1) // 2))
 
 
@@ -276,8 +277,8 @@ def singular_count_block(n: int, bits: np.ndarray) -> int:
     mats = _bits_to_sym(bits, n)
     ranks = batch_rank_mod_p(mats, _SCREEN_PRIME)
     flagged = np.flatnonzero(ranks < n)
-    if n <= 15:
-        # Hadamard bound below the screening prime: mod-p1 zero is exact zero
+    if n**n < _SCREEN_PRIME**2:
+        # Hadamard bound n^{n/2} below the screening prime: mod-p1 zero is exact zero
         return int(flagged.size)
     return sum(1 for i in flagged if det_bareiss(mats[int(i)]) == 0)
 
@@ -335,7 +336,8 @@ def singularity_mc_sharded(
 
 
 def _sym_chunks(n: int, fixed: int = 0):
-    """Symmetric sign matrices in index order, as [B, n, n] chunks.
+    """Symmetric sign matrices in index order, as [B, n(n+1)/2] packed-bit
+    chunks (see _bits_to_sym).
 
     Matrix idx takes bit j of idx as its j-th packed (row-major) upper-triangle
     entry.  The chunks hold every idx whose packed bits 0..fixed-1 are set, so
@@ -348,29 +350,42 @@ def _sym_chunks(n: int, fixed: int = 0):
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64) << fixed
         idx |= (1 << fixed) - 1
-        yield _bits_to_sym((idx[:, None] >> np.arange(m)[None, :]) & 1, n)
+        yield (idx[:, None] >> np.arange(m)[None, :]) & 1
 
 
-def _solution_counts(n: int, p: int, vs: np.ndarray, ws, rows=slice(None)) -> list[int]:
+def _solution_counts(n: int, p: int, vs, ws, rows=slice(None)) -> list[int]:
     """For each w in ws, the number of symmetric sign n x n matrices M with
-    (M v)_rows = w_rows over F_p for some row v of the [K, n] array vs."""
+    (M v)_rows = w_rows over F_p for some v in vs (length-n int sequences).
+
+    With v and w reduced mod p, |(M v)_i - w_i| <= (n + 1)(p - 1), which must
+    stay below 2^63 (GuardExceeded otherwise).
+    """
+    if (n + 1) * (p - 1) >= 2**63:
+        raise GuardExceeded("exhaustive counts need (n + 1)(p - 1) < 2^63 for int64 sums")
+    vs = np.array([[int(x) % p for x in v] for v in vs], dtype=np.int64).reshape(len(vs), n)
+    ws = [np.array([int(x) % p for x in w], dtype=np.int64) for w in ws]
     hits = [0] * len(ws)
-    for mats in _sym_chunks(n):
-        mv = mats[:, rows, :] @ vs.T  # [B, |rows|, K]
+    for bits in _sym_chunks(n):
+        mv = _bits_to_sym(bits, n)[:, rows, :] @ vs.T  # [B, |rows|, K]
         for j, w in enumerate(ws):
             hits[j] += int(((mv - w[rows, None]) % p == 0).all(axis=1).any(axis=1).sum())
     return hits
 
 
-def match_probability_exact(v: ZpVector, w: ZpVector, p: PrimeModulus) -> Fraction:
-    """Exact Pr(M_n v = w over F_p) by enumerating all symmetric sign matrices."""
+def _match_fraction(v: ZpVector, w: ZpVector, p: PrimeModulus, rows=slice(None)) -> Fraction:
+    """Exact Pr((M_n v)_rows = w_rows over F_p), enumerated."""
     n = len(v)
     if n > _MATCH_GUARD:
         raise GuardExceeded(f"enumeration guard is n <= {_MATCH_GUARD}")
     if len(w) != n:
         raise PreconditionViolated("v and w must have equal length")
-    (hits,) = _solution_counts(n, p.p, v.as_array()[None, :], [w.as_array()])
+    (hits,) = _solution_counts(n, p.p, [v.entries], [w.entries], rows)
     return Fraction(hits, 1 << (n * (n + 1) // 2))
+
+
+def match_probability_exact(v: ZpVector, w: ZpVector, p: PrimeModulus) -> Fraction:
+    """Exact Pr(M_n v = w over F_p) by enumerating all symmetric sign matrices."""
+    return _match_fraction(v, w, p)
 
 
 @dataclass(frozen=True)
@@ -388,17 +403,13 @@ def block_probability_exact(
     X and Y must be disjoint; the bound relies on the X x Y block of a
     symmetric matrix being made of |X| * |Y| independent entries.
     """
-    n = len(v)
-    if n > _MATCH_GUARD:
-        raise GuardExceeded(f"enumeration guard is n <= {_MATCH_GUARD}")
     xs = sorted(set(int(i) for i in x_rows))
     ys = sorted(set(int(i) for i in y_cols))
     if set(xs) & set(ys):
         raise PreconditionViolated("X and Y must be disjoint")
-    if any(not 0 <= i < n for i in xs + ys):
+    if any(not 0 <= i < len(v) for i in xs + ys):
         raise PreconditionViolated("index out of range")
-    (hits,) = _solution_counts(n, p.p, v.as_array()[None, :], [w.as_array()], xs)
-    prob = Fraction(hits, 1 << (n * (n + 1) // 2))
+    prob = _match_fraction(v, w, p, xs)
     bound = rho(v.restrict(ys), p).value ** len(xs)
     return BlockProbabilityResult(prob, bound, prob <= bound)
 
@@ -415,17 +426,16 @@ def odlyzko_check(basis, n: int, p: PrimeModulus) -> tuple[int, bool]:
         raise GuardExceeded(f"guard is n <= {_ODLYZKO_GUARD}")
     if (p.p - 1) * p.p >= 2**63:
         raise GuardExceeded("odlyzko_check needs (p - 1) p < 2^63 for int64 products")
-    rows = [[int(e) % p.p for e in b] for b in basis]
-    k = len(rows)
+    rref, pivots = rref_mod_p(basis, p)
+    k = len(rref)
     if k == 0:
         return 0, True
-    rref, pivots = rref_mod_p(rows, p)
     if len(pivots) < k:
         raise DependentBasis("claimed basis is dependent over F_p")
     # reduce all sign vectors at once
     signs = ((np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1
     x = signs % p.p
-    r = np.array(rref[:k], dtype=np.int64)
+    r = np.array(rref, dtype=np.int64)
     for row_i, col in enumerate(pivots):
         coef = x[:, col].copy()
         x = (x - coef[:, None] * r[row_i][None, :]) % p.p
@@ -440,14 +450,13 @@ def odlyzko_check(basis, n: int, p: PrimeModulus) -> tuple[int, bool]:
 
 def adjugate_mod_p(mat, p: PrimeModulus) -> list[list[int]]:
     """Transpose cofactor matrix over F_p, by minor determinants."""
-    a = np.asarray(mat, dtype=np.int64) % p.p
-    d = a.shape[0]
+    a = _residues(mat, p.p)
+    d = len(a)
     adj = [[0] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            minor = np.delete(np.delete(a, j, axis=0), i, axis=1)
-            cof = _det_mod(minor, p.p) if d > 1 else 1
-            adj[i][j] = (-1) ** (i + j) * cof % p.p
+            minor = [r[:i] + r[i + 1 :] for k, r in enumerate(a) if k != j]
+            adj[i][j] = (-1) ** (i + j) * _det_mod(minor, p.p) % p.p
     return adj
 
 
@@ -470,45 +479,40 @@ def adjugate_rank1_check(mat, p: PrimeModulus) -> AdjugateReport:
     n-dimensional matrix of corank 2 ("rank n-2"); its own rank must be
     dim - 1 (PreconditionViolated otherwise).
     """
-    a = np.asarray(mat, dtype=np.int64) % p.p
-    d = a.shape[0]
+    a = np.array(_residues(mat, p.p), dtype=object)
+    d = len(a)
     if not (a == a.T).all():
         raise PreconditionViolated("matrix must be symmetric")
     if rank_mod_p(a, p) != d - 1:
         raise PreconditionViolated("matrix rank must be dimension - 1")
-    adj = adjugate_mod_p(a, p)
-    adj_arr = np.array(adj, dtype=np.int64)
+    adj = np.array(adjugate_mod_p(a, p), dtype=object)
     checks: dict[str, bool] = {}
-    checks["m_adj_zero"] = bool((a @ adj_arr % p.p == 0).all())
-    checks["adj_rank_one"] = rank_mod_p(adj_arr, p) == 1
-    col = next((j for j in range(d) if any(adj_arr[i][j] for i in range(d))), -1)
+    checks["m_adj_zero"] = bool((a @ adj % p.p == 0).all())
+    checks["adj_rank_one"] = rank_mod_p(adj, p) == 1
+    col = next((j for j in range(d) if adj[:, j].any()), -1)
     checks["nontrivial_column_exists"] = col >= 0
     lam = 0
     factor_ok = False
     kernel_ok = False
     if col >= 0:
-        avec = adj_arr[:, col] % p.p
+        avec = adj[:, col]
         kernel_ok = bool((a @ avec % p.p == 0).all())
         # c_ij = lam a_i a_j; with a = column `col`, lam = inv(a_col)
-        lam = pow(int(avec[col]), p.p - 2, p.p)
-        factor_ok = all(
-            int(adj_arr[i][j]) == lam * int(avec[i]) * int(avec[j]) % p.p
-            for i in range(d)
-            for j in range(d)
-        )
+        lam = pow(avec[col], p.p - 2, p.p)
+        factor_ok = bool((adj == lam * np.outer(avec, avec) % p.p).all())
     checks["kernel_column"] = kernel_ok
     checks["rank_one_factorization"] = factor_ok
     return AdjugateReport(checks, col, lam)
 
 
 def inverse_mod_p(mat, p: PrimeModulus) -> np.ndarray:
-    """Inverse over F_p, read off the RREF of [A | I]."""
+    """Inverse over F_p, read off the RREF of [A | I], as an object array of ints."""
     a = _residues(mat, p.p)
     d = len(a)
     aug = [row + [int(i == j) for j in range(d)] for i, row in enumerate(a)]
     if _rref(aug, p.p)[0] != list(range(d)):
         raise SingularMatrix("matrix not invertible over F_p")
-    return np.array([row[d:] for row in aug], dtype=np.int64)
+    return np.array([row[d:] for row in aug], dtype=object)
 
 
 def decoupling_identity_check(
@@ -523,34 +527,22 @@ def decoupling_identity_check(
     and every partition I, J.
     """
     a = inverse_mod_p(mat, p)
-    d = a.shape[0]
-    i_set = sorted(set(int(i) for i in i_set))
-    j_set = sorted(set(int(j) for j in j_set))
-    if set(i_set) & set(j_set) or set(i_set) | set(j_set) != set(range(d)):
+    d = len(a)
+    i_set, j_set = {int(i) for i in i_set}, {int(j) for j in j_set}
+    if i_set & j_set or i_set | j_set != set(range(d)):
         raise PreconditionViolated("I, J must partition the index set")
-    uu = np.asarray(u, dtype=np.int64)
-    vv = np.asarray(u_prime, dtype=np.int64)
+    in_i = np.array([i in i_set for i in range(d)], dtype=bool)
+    uu = np.array([int(x) for x in u], dtype=object)
+    vv = np.array([int(x) for x in u_prime], dtype=object)
 
-    def hybrid(x_from, y_from):
-        h = np.zeros(d, dtype=np.int64)
-        for i in i_set:
-            h[i] = x_from[i]
-        for j in j_set:
-            h[j] = y_from[j]
-        return h % p.p
+    def f(x_from, y_from):
+        h = np.where(in_i, x_from, y_from)
+        return h @ a @ h
 
-    def f(h):
-        return int(h @ a @ h % p.p)
-
-    lhs = (
-        f(hybrid(uu, uu)) - f(hybrid(vv, uu)) - f(hybrid(uu, vv)) + f(hybrid(vv, vv))
-    ) % p.p
-    w = (uu - vv) % p.p
-    w_star_j = np.zeros(d, dtype=np.int64)
-    for j in j_set:
-        w_star_j[j] = w[j]
-    z = a @ w_star_j % p.p
-    rhs = 2 * sum(int(z[i]) * int(w[i]) for i in i_set) % p.p
+    lhs = (f(uu, uu) - f(vv, uu) - f(uu, vv) + f(vv, vv)) % p.p
+    w = uu - vv
+    z = a @ np.where(in_i, 0, w)
+    rhs = 2 * (z @ np.where(in_i, w, 0)) % p.p
     return lhs == rhs
 
 
@@ -586,8 +578,8 @@ def decoupling_probability_check(px: dict, py: dict, event) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _structured_vectors(n: int, p: PrimeModulus, beta, strict: bool) -> np.ndarray:
-    """[K, n] array of the nonzero v in Z_p^n with rho(v) >= beta.
+def _structured_vectors(n: int, p: PrimeModulus, beta, strict: bool) -> list[tuple[int, ...]]:
+    """The nonzero v in Z_p^n with rho(v) >= beta.
 
     strict mode enforces the beta >= 4/p floor below which "structured" loses
     meaning (4x the uniform atom); strict=False probes smaller beta.
@@ -595,11 +587,10 @@ def _structured_vectors(n: int, p: PrimeModulus, beta, strict: bool) -> np.ndarr
     beta = Fraction(beta)
     if strict and beta < Fraction(4, p.p):
         raise PreconditionViolated(f"strict mode needs beta >= 4/p = 4/{p.p}")
-    out = [
+    return [
         tup for tup in _iproduct(range(p.p), repeat=n)
         if any(tup) and rho(ZpVector(tup), p).value >= beta
     ]
-    return np.array(out, dtype=np.int64).reshape(len(out), n)
 
 
 def q_exact(
@@ -613,10 +604,10 @@ def q_exact(
     m = n * (n + 1) // 2
     if p.p**n * (1 << m) > _Q_ENUM_GUARD:
         raise GuardExceeded("joint enumeration beyond guard")
-    wa = np.asarray(tuple(w), dtype=np.int64)
-    if wa.shape != (n,):
+    w = tuple(w)
+    if len(w) != n:
         raise PreconditionViolated("w must have length n")
-    (hits,) = _solution_counts(n, p.p, _structured_vectors(n, p, beta, strict), [wa])
+    (hits,) = _solution_counts(n, p.p, _structured_vectors(n, p, beta, strict), [w])
     return Fraction(hits, 1 << m)
 
 
@@ -629,7 +620,7 @@ def q_exact_max(
         raise GuardExceeded("outer enumeration beyond guard")
     vs = _structured_vectors(n, p, beta, strict)
     ws = list(_iproduct(range(p.p), repeat=n))
-    hits = _solution_counts(n, p.p, vs, [np.asarray(w, dtype=np.int64) for w in ws])
+    hits = _solution_counts(n, p.p, vs, ws)
     best = max(hits)
     return Fraction(best, 1 << m), ws[hits.index(best)]
 

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 
 from rholab.cli import cli_dispatch
+from rholab.inverse_lo import DESK_PROFILE
 
 # sha256 of the `verify-all --seed 42 --quick` artifacts.  Refactors must
 # reproduce them byte for byte.  Floats are written with repr, so a libm that
@@ -242,6 +244,10 @@ def test_bad_profile_file_exits_2(tmp_path, capsys):
     pf.write_text(json.dumps({"m_coeff": 13}))
     err = _usage_error(capsys, ["container", "--profile", f"file:{pf}", "--count", "1"])
     assert "support_floor_coeff" in err
+    desk = {k: str(v) for k, v in dataclasses.asdict(DESK_PROFILE).items()}
+    pf.write_text(json.dumps({**desk, "max_attempts": 0}))
+    err = _usage_error(capsys, ["container", "--profile", f"file:{pf}", "--count", "1"])
+    assert "max_attempts must be >= 1" in err
 
 
 def test_bad_beta_exits_2(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +19,7 @@ from rholab.zp_core import PrimeModulus, ZpVector, is_prime_u64, next_prime
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
+P64 = 2**64 - 59  # the largest prime below 2^64
 
 
 def test_sample_symmetric_basics():
@@ -65,6 +67,23 @@ def test_det_exact_large_entries():
     # the +-1 Hadamard bound n^{n/2} would pick one prime and lift a wrong residue
     m = [[5 * 10**9, 1], [1, 5 * 10**9]]
     assert ml.det_exact(m) == ml.det_bareiss(m) == 24999999999999999999
+
+
+def test_exact_determinants_of_entries_past_int64():
+    # read through np.asarray these rows became float64 and both gave 0
+    m = [[2**63 + 1, 2**63], [1, 1]]
+    assert ml.det_bareiss(m) == ml.det_exact(m) == 1
+
+
+def test_rank_and_inverse_at_a_64_bit_prime():
+    p = P64
+    assert ml.rank_mod_p([[1, p - 1], [p - 1, 1]], p) == 1
+    rnd = random.Random(64)
+    for d in range(1, 6):
+        a = [[rnd.randrange(p) for _ in range(d)] for _ in range(d)]
+        inv = ml.inverse_mod_p(a, PrimeModulus(p)).tolist()
+        prod = [[sum(a[i][k] * inv[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
+        assert prod == [[int(i == j) for j in range(d)] for i in range(d)]
 
 
 def test_rank_examples():
@@ -193,7 +212,7 @@ def test_singularity_exact_frozen_values():
 
 def test_singularity_exact_matches_full_enumeration():
     for n in range(1, 6):
-        mats = np.concatenate(list(ml._sym_chunks(n)))
+        mats = np.concatenate([ml._bits_to_sym(bits, n) for bits in ml._sym_chunks(n)])
         assert len(mats) == 1 << (n * (n + 1) // 2)
         singular = sum(ml.det_bareiss(m) == 0 for m in mats)
         assert ml.singularity_exact(n) == Fraction(singular, len(mats)), n
@@ -201,7 +220,7 @@ def test_singularity_exact_matches_full_enumeration():
 
 def test_sym_chunks_switching_representatives():
     for n in range(1, 6):
-        mats = np.concatenate(list(ml._sym_chunks(n, fixed=n)))
+        mats = np.concatenate([ml._bits_to_sym(bits, n) for bits in ml._sym_chunks(n, fixed=n)])
         assert len(mats) == 1 << (n * (n - 1) // 2)
         assert len({m.tobytes() for m in mats}) == len(mats)
         assert (mats[:, 0, :] == 1).all()
@@ -314,6 +333,33 @@ def test_block_probability_rejects_overlap():
         ml.block_probability_exact(v, v, [0, 1], [1, 2], P5)
 
 
+def test_block_probability_rejects_length_mismatch():
+    v = ZpVector((1, 2, 3))
+    for w, xs in ((ZpVector((1, 2, 3, 4, 0)), [0]), (ZpVector((1,)), [0, 2])):
+        with pytest.raises(PreconditionViolated, match="equal length"):
+            ml.block_probability_exact(v, w, xs, [1], P5)
+
+
+def test_exhaustive_counts_guard_int64_sums():
+    # (M v)_i - w_i reaches 5 (p - 1) at n = 4; at p = 2^62 + 135 it wrapped
+    # and matched w = 536 for 1/1024 of the matrices, though every row sum of
+    # M lies in [-4, 4]
+    def const(e):
+        return ZpVector((e,) * 4)
+
+    p = next_prime(2**62)
+    with pytest.raises(GuardExceeded):
+        ml.match_probability_exact(const(p.p - 1), const(536), p)
+    with pytest.raises(GuardExceeded):  # entries past int64 raised OverflowError
+        ml.match_probability_exact(const(P64 - 1), const(0), PrimeModulus(P64))
+    p = (2**63 - 1) // 5 + 1
+    while not is_prime_u64(p):
+        p -= 1
+    assert ml.match_probability_exact(const(p - 1), const(536), PrimeModulus(p)) == 0
+    # M (-1, ..., -1) = (-4, ..., -4) only for the all-ones matrix
+    assert ml.match_probability_exact(const(p - 1), const(p - 4), PrimeModulus(p)) == Fraction(1, 1024)
+
+
 def test_odlyzko_examples():
     count, holds = ml.odlyzko_check([(1, 1)], 2, P5)
     assert count == 2 and holds
@@ -385,6 +431,36 @@ def test_decoupling_identity_random():
         i_set = [j for j in range(d) if mask[j]]
         j_set = [j for j in range(d) if not mask[j]]
         assert ml.decoupling_identity_check(m, u, u2, i_set, j_set, p)
+
+
+def _congruent_symmetric(rnd, d: int, p: int, corank: int) -> list[list[int]]:
+    """C^T diag(s) C mod p, C unit upper triangular, `corank` zeros in s."""
+    c = [[rnd.randrange(p) if j > i else int(i == j) for j in range(d)] for i in range(d)]
+    s = [rnd.randrange(1, p) for _ in range(d)]
+    for k in rnd.sample(range(d), corank):
+        s[k] = 0
+    return [
+        [sum(c[k][i] * s[k] * c[k][j] for k in range(d)) % p for j in range(d)]
+        for i in range(d)
+    ]
+
+
+@pytest.mark.parametrize("p", [next_prime(2**31).p, next_prime(2**40).p, P64])
+def test_identity_checks_hold_at_word_size_primes(p):
+    # rank rejection at such p never draws corank 1, so build the matrices;
+    # int64 products here used to report violations of identities that hold
+    rnd = random.Random(p)
+    for _ in range(10):
+        d = rnd.randint(2, 6)
+        u = [rnd.choice((-1, 1)) for _ in range(d)]
+        u2 = [rnd.choice((-1, 1)) for _ in range(d)]
+        i_set = [j for j in range(d) if rnd.random() < 0.5]
+        j_set = [j for j in range(d) if j not in i_set]
+        m = _congruent_symmetric(rnd, d, p, 0)
+        assert ml.decoupling_identity_check(m, u, u2, i_set, j_set, PrimeModulus(p))
+        m = _congruent_symmetric(rnd, d, p, 1)
+        assert ml.rank_mod_p(m, p) == d - 1
+        assert ml.adjugate_rank1_check(m, PrimeModulus(p)).ok
 
 
 def test_decoupling_identity_rejects_singular():
