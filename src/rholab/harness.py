@@ -8,12 +8,28 @@ whitespace-separated canonical residues.  Blank lines and lines starting
 with '#' are skipped.  Artifacts (CSV/JSON) are canonical: sorted keys,
 integers as decimal strings in JSON, fixed column order in CSV, no
 timestamps, so identical configs produce identical bytes.
+
+Artifacts are overwritten in place: the file is opened without O_TRUNC,
+written, then cut at the end of the new bytes.  Opening with O_TRUNC (as
+`Path.write_text` does) marks the inode for ext4's replace-via-truncate
+flush, so every rewrite of an existing artifact waited 35-70 ms inside
+open() on an ext4 virtual disk, against 0.005 ms without O_TRUNC.  The inode, its
+mode, symlinks and hard links of an existing file are kept; a new file gets
+mode 0o666 & ~umask.  Only a regular file is cut: /dev/null, a FIFO, a pipe
+or a tty is written as `open("w")` would, with no truncate.  The write is
+not atomic, as before, but a crash leaves something different: the old
+bytes now survive until the cut, so a crash between the write and the cut
+(or before the cut reaches disk) can leave the new bytes followed by the
+stale tail of the old artifact -- for a CSV, a file that still parses but
+ends with rows of the previous run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -61,6 +77,15 @@ def load_vectors(path) -> list[tuple[PrimeModulus, ZpVector]]:
     return out
 
 
+def _write_text(path, text: str) -> None:
+    """Overwrite `path` with `text` in place (see the module docstring)."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode())
+        # a device, FIFO or pipe has no length to cut (and no offset to cut at)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
+
+
 def write_csv(path, header: list[str], rows: list[list]) -> str:
     """Deterministic CSV (no quoting needed for our numeric/word fields)."""
     lines = [",".join(header)]
@@ -68,7 +93,7 @@ def write_csv(path, header: list[str], rows: list[list]) -> str:
         lines.append(",".join(str(x) for x in row))
     text = "\n".join(lines) + "\n"
     if path is not None:
-        Path(path).write_text(text)
+        _write_text(path, text)
     return text
 
 
@@ -98,7 +123,7 @@ def canonical_json(obj) -> str:
 def write_json(path, doc) -> str:
     text = canonical_json(doc) + "\n"
     if path is not None:
-        Path(path).write_text(text)
+        _write_text(path, text)
     return text
 
 

@@ -203,7 +203,13 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     """
     if (p - 1) ** 2 >= 2**63:
         raise GuardExceeded("batch_rank_mod_p needs (p - 1)^2 < 2^63 for int64 products")
-    a = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % p)
+    # rank_mod_p accepts entries past int64: keep a nested list's big ints
+    # exact as objects (np.asarray would make them float64), and reduce
+    # object or uint64 entries before the int64 cast overflows or wraps them.
+    a = np.asarray(mats, dtype=None if isinstance(mats, np.ndarray) else object)
+    if a.dtype in (object, np.uint64):
+        a = a % p
+    a = np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
     b, n, _ = a.shape
     rank = np.zeros(b, dtype=np.int64)
     bidx = np.arange(b)

@@ -157,17 +157,20 @@ def check_table_size(n: int, p: PrimeModulus) -> None:
 def weight_table(v: ZpVector, p: PrimeModulus) -> np.ndarray:
     """W[k] = sum_i min(k*v_i mod p, p - ...)^2 for every k in Z_p.
 
-    Exact in int64: under the table guard k * v_i < p^2 <= 10^14 and
-    n * (p/2)^2 <= p n * p / 4 <= 2.5 * 10^13, far below 2^63.
+    Equal entries share a column: W[k] = sum_e mult(e) * w(k*e) over the
+    distinct entries e, so a constant vector costs one column, not n.
+    Exact in int64: under the table guard k * e < p^2 <= 10^14, and since
+    mult(e) <= n the sum is at most n * (p/2)^2 <= p n * p / 4 <= 2.5 * 10^13,
+    far below 2^63.
     """
     check_table_size(len(v), p)
     if len(v) == 0:
         return np.zeros(p.p, dtype=np.int64)
-    arr = v.as_array()
+    vals, mult = np.unique(v.as_array(), return_counts=True)
     ks = np.arange(p.p, dtype=np.int64)
-    r = ks[:, None] * arr[None, :] % p.p
+    r = ks[:, None] * vals[None, :] % p.p
     w = np.minimum(r, p.p - r)
-    return (w * w).sum(axis=1)
+    return (w * w) @ mult
 
 
 def level_mask(weights, t, p: PrimeModulus) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 
 from rholab.cli import cli_dispatch
 from rholab.inverse_lo import DESK_PROFILE
@@ -103,6 +104,43 @@ def test_singularity_mc_reproducible_across_workers(tmp_path, capsys):
     assert run(capsys, args + ["--out", str(out1)])[0] == 0
     assert run(capsys, args + ["--workers", "3", "--out", str(out2)])[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    vf = tmp_path / "v.txt"
+    vf.write_text("p=5; 1 1\n")
+    code, _, _ = run(capsys, ["rho", "--vectors", str(vf), "--out", str(tmp_path)])
+    assert code == 2
+
+
+def test_out_to_devnull_or_a_pipe_exits_0(tmp_path, capsys):
+    vf = tmp_path / "v.txt"
+    vf.write_text("p=5; 1 1\n")
+    argv = ["rho", "--vectors", str(vf), "--out"]
+    code, _, err = run(capsys, argv + [os.devnull])
+    assert code == 0, err
+    r, w = os.pipe()
+    try:
+        code, _, err = run(capsys, argv + [f"/dev/fd/{w}"])
+        assert code == 0, err
+        assert os.read(r, 1 << 16).startswith(b"idx,p,")
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def test_rewritten_out_equals_a_fresh_write(tmp_path, capsys):
+    # the first write of each pair is the longer one, so a stale tail would show
+    mc = ["singularity", "--mc", "--n", "3", "--trials", "2000", "--seed"]
+    fibre = ["fibre", "--count", "1", "--seed", "1", "--format", "json", "--n"]
+    for argv, first, second in [(mc, "2", "1"), (fibre, "512", "256")]:
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for value, path in [(first, out), (second, out), (second, fresh)]:
+            code, _, err = run(capsys, argv + [value, "--out", str(path)])
+            assert code == 0, err
+        assert out.read_bytes() == fresh.read_bytes()
+        out.unlink()
+        fresh.unlink()
 
 
 def test_verify_all_quick_artifact_digests(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 from rholab.errors import EntryRangeError, VectorParseError
@@ -61,3 +64,84 @@ def test_experiment_record_digest_stable(tmp_path):
     # the logged timestamps may differ; the written records do not
     text = write_record(tmp_path / "record.json", *args)
     assert text == write_record(None, *args) == (tmp_path / "record.json").read_text()
+
+
+WRITERS = {
+    "csv": lambda path: write_csv(path, ["i", "s"], [[1, "a"], [2, "b"]]),
+    "json": lambda path: write_json(path, {"b": 1, "a": [2, 3]}),
+}
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+@pytest.mark.parametrize("old", [None, b"", b"x", b"#" * 4096],
+                         ids=["new-file", "old-empty", "old-shorter", "old-longer"])
+def test_writers_leave_exactly_the_new_bytes(tmp_path, kind, old):
+    # a longer old file must not leave a stale tail past the new bytes
+    f = tmp_path / "artifact"
+    if old is not None:
+        f.write_bytes(old)
+    text = WRITERS[kind](f)
+    assert f.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_writers_overwrite_in_place(tmp_path, kind):
+    target = tmp_path / "artifact"
+    target.write_bytes(b"#" * 100)
+    target.chmod(0o600)
+    ino = target.stat().st_ino
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    text = WRITERS[kind](link)
+    assert link.is_symlink()
+    assert target.read_bytes() == text.encode()
+    assert target.stat().st_ino == ino
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_writers_give_a_new_file_the_open_w_mode(tmp_path, kind):
+    ref = tmp_path / "ref"
+    with open(ref, "w"):
+        pass
+    WRITERS[kind](tmp_path / "new")
+    assert os.stat(tmp_path / "new").st_mode == os.stat(ref).st_mode
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_writers_reject_a_directory_or_missing_parent(tmp_path, kind):
+    with pytest.raises(IsADirectoryError):
+        WRITERS[kind](tmp_path)
+    with pytest.raises(FileNotFoundError):
+        WRITERS[kind](tmp_path / "missing" / "artifact")
+
+
+def _pipe_target(tmp_path):
+    r, w = os.pipe()
+    return f"/dev/fd/{w}", r, [r, w]
+
+
+def _fifo_target(tmp_path):
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    # a reader must be open, or opening the FIFO for writing blocks
+    r = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    return path, r, [r]
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+@pytest.mark.parametrize("target", [_pipe_target, _fifo_target], ids=["pipe", "fifo"])
+def test_writers_stream_to_a_pipe_or_fifo(tmp_path, kind, target):
+    # a pipe has no length to cut and no offset to cut at
+    path, r, fds = target(tmp_path)
+    try:
+        text = WRITERS[kind](path)
+        assert os.read(r, 1 << 16) == text.encode()
+    finally:
+        for fd in fds:
+            os.close(fd)
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_writers_accept_devnull(kind):
+    assert WRITERS[kind](os.devnull)

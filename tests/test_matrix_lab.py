@@ -171,6 +171,22 @@ def test_batch_rank_int64_guard():
         ml.batch_rank_mod_p(mats, next_prime(p + 1).p)
 
 
+@pytest.mark.parametrize("big", [2**63, 2**64 + 1, -(2**63) - 1])
+def test_batch_rank_reduces_entries_past_int64(big):
+    for p in (5, 7, _largest_batch_prime()):
+        for a in ([[big, 1], [1, 1]], [[big, big], [big, big]], [[big, 0], [0, p]]):
+            assert int(ml.batch_rank_mod_p([a], p)[0]) == ml.rank_mod_p(a, p)
+            assert int(ml.batch_rank_mod_p(np.array([a], dtype=object), p)[0]) == ml.rank_mod_p(a, p)
+
+
+def test_batch_rank_reduces_uint64_and_keeps_small_dtypes():
+    a = [[2**63, 1], [1, 1]]
+    assert int(ml.batch_rank_mod_p(np.array([a], dtype=np.uint64), 5)[0]) == ml.rank_mod_p(a, 5) == 2
+    b = [[-1, 1, 0], [1, -1, 2], [0, 2, 3]]
+    for dtype in (np.int8, np.int32, np.int64):
+        assert int(ml.batch_rank_mod_p(np.array([b], dtype=dtype), 7)[0]) == ml.rank_mod_p(b, 7)
+
+
 _PRIMES = st.one_of(st.integers(5, 2**16), st.integers(2**32, 2**62)).map(
     lambda x: next_prime(x).p
 )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rholab.errors import GuardExceeded, PreconditionViolated
 from rholab.zp_core import (
@@ -109,6 +109,25 @@ def test_weight_table_matches_scalar():
     for k in range(13):
         expected = sum(term_weight(k * e % p.p, p) for e in v.entries)
         assert int(table[k]) == expected
+
+
+@st.composite
+def _repeating_vectors(draw):
+    p = draw(st.sampled_from([5, 13, 101, 1009, 9973]))
+    pool = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8))
+    entries = draw(st.lists(st.one_of(st.sampled_from(pool), st.integers(0, p - 1)), max_size=100))
+    return PrimeModulus(p), ZpVector(tuple(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repeating_vectors())
+def test_weight_table_matches_full_product(case):
+    # reference: one column per coordinate, the p x n product before grouping
+    p, v = case
+    ks = np.arange(p.p, dtype=np.int64)
+    r = ks[:, None] * np.asarray(v.entries, dtype=np.int64)[None, :] % p.p
+    full = (np.minimum(r, p.p - r) ** 2).sum(axis=1)
+    assert weight_table(v, p).tolist() == full.tolist()
 
 
 def test_table_size_guard():
