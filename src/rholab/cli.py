@@ -11,6 +11,7 @@ regardless of --workers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -77,7 +78,10 @@ def _add_common(sp, *names):
         sp.add_argument(f"--{name}", **_COMMON[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call starts a fresh
+    namespace from the defaults."""
     ap = argparse.ArgumentParser(prog="rholab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

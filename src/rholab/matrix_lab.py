@@ -2,21 +2,33 @@
 the algebraic identities behind the rank-reduction arguments.
 
 Exactness contract: a matrix is declared singular over Z only when its
-integer determinant is exactly zero.  The fast path computes ranks modulo
-p1 = 2^31 - 1 in batched int64 elimination; for n <= 15 the Hadamard bound
-n^{n/2} < p1 already makes that exact, and for larger n every matrix flagged
-singular mod p1 is confirmed by an exact integer determinant from
-fraction-free (Bareiss) elimination.  The CRT determinant det_exact is an
-independent cross-check of Bareiss, not part of the count.  False
-nonsingulars are impossible, false singulars are confirmed away, so Monte
-Carlo counts are exact counts.
+integer determinant is exactly zero.  singular_count_block, behind both the
+exhaustive and the Monte Carlo counts, passes a batch through three stages:
+
+1. the Rump screen (_rump_certified): an approximate inverse X of
+   A + 2^-20 I from batched LAPACK, rounded to X' = rint(2^s X), proves A
+   nonsingular when every row sum of |2^s I - X'A| is below 2^s, in exact
+   integers;
+2. the matrices it leaves uncertified get their rank modulo p1 = 2^31 - 1
+   in batched int64 elimination; for n <= 15 the Hadamard bound
+   n^{n/2} < p1 already makes rank < n exact;
+3. for larger n every matrix flagged singular mod p1 is confirmed by an
+   exact integer determinant from fraction-free (Bareiss) elimination.
+
+A certificate is a proof, a singular matrix is always flagged mod p1, and
+Bareiss confirms or clears each flag, so Monte Carlo counts are exact counts.
+The CRT determinant det_exact is an independent cross-check of Bareiss, not
+part of the count.
 
 Number formats: per-matrix work (determinants, ranks, RREF, inverses,
 adjugates, identity checks) reads every entry with int() into Python ints,
 held in numpy object arrays where a matmul reads better; it is exact for
 every prime PrimeModulus accepts and needs no guard.  The batched kernels
 (batch_rank_mod_p, odlyzko_check's sign-vector reduction, _solution_counts)
-work in int64 and raise GuardExceeded before a value could reach 2^63.
+work in int64 and raise GuardExceeded before a value could reach 2^63.  The
+screen's integer product X'A runs in float64 through _exact_matmul, which is
+exact because it raises GuardExceeded unless inner_dim * max|a| * max|b| is
+below 2^53, and returns int64.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ _ODLYZKO_GUARD = 14
 _DECOUPLE_SUPPORT_GUARD = 16
 _Q_ENUM_GUARD = 10**8
 _MC_BLOCK = 20000  # trials per Monte Carlo block
+_RUMP_SHIFT = 2.0**-20  # diagonal shift before the floating inverse
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -63,10 +76,22 @@ def sample_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def det_bareiss(mat) -> int:
-    """Fraction-free elimination; exact integer determinant."""
+def _square_ints(mat) -> list[list[int]]:
+    """The entries of a square matrix as Python ints (PreconditionViolated
+    unless square; 0 x 0 is square)."""
     a = [[int(x) for x in row] for row in mat]
     n = len(a)
+    if any(len(row) != n for row in a) or isinstance(mat, np.ndarray) and mat.shape != (n, n):
+        raise PreconditionViolated("matrix must be square")
+    return a
+
+
+def det_bareiss(mat) -> int:
+    """Fraction-free elimination; exact integer determinant."""
+    a = _square_ints(mat)
+    n = len(a)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -148,7 +173,7 @@ def det_exact(mat) -> int:
     prod_i ||row_i|| caps |det|, and the prime set's product exceeds twice
     that bound (for +-1 matrices it is n^{n/2}).
     """
-    a = [[int(x) for x in row] for row in mat]
+    a = _square_ints(mat)
     n = len(a)
     if n > _DET_GUARD:
         raise GuardExceeded(f"det_exact guard is n <= {_DET_GUARD}")
@@ -180,18 +205,72 @@ def rref_mod_p(mat, p: PrimeModulus | int) -> tuple[list[list[int]], list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels (int64, division-free) for Monte Carlo work.
+# Batched kernels for Monte Carlo work: guarded int64 and exact float64.
 # ---------------------------------------------------------------------------
 
 
 def _bits_to_sym(bits: np.ndarray, n: int) -> np.ndarray:
-    """[B, n(n+1)/2] in {0,1} -> [B, n, n] symmetric +-1 matrices."""
+    """[B, n(n+1)/2] in {0,1} -> [B, n, n] symmetric +-1 matrices, gathered
+    through the packed position of each entry."""
     rows, cols = np.triu_indices(n)
-    signs = bits * 2 - 1
-    a = np.empty((bits.shape[0], n, n), dtype=np.int64)
-    a[:, rows, cols] = signs
-    a[:, cols, rows] = signs
-    return a
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    return np.take(np.asarray(bits, dtype=np.int64) * 2 - 1, pos, axis=1)
+
+
+def _exact_matmul(a, b, a_bound: int, b_bound: int) -> np.ndarray:
+    """a @ b as int64, for integer-valued a, b with |a| <= a_bound and
+    |b| <= b_bound entrywise (the caller's a-priori bounds).
+
+    Every product and every partial sum is an integer of magnitude at most
+    inner_dim * a_bound * b_bound, so while that is below 2^53 the float64
+    matmul (BLAS, any summation order) is exact integer arithmetic
+    (GuardExceeded otherwise).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[-1] * int(a_bound) * int(b_bound) >= 2**53:
+        raise GuardExceeded("exact float64 products need inner_dim * max|a| * max|b| < 2^53")
+    return (a @ b).astype(np.int64)
+
+
+def _rump_certified(mats: np.ndarray) -> np.ndarray:
+    """Mask of the sign matrices in the [B, n, n] batch proved nonsingular.
+
+    X approximates the inverse of A + 2^-20 I from batched LAPACK; the shift
+    keeps X finite on singular A, since a rational eigenvalue of an integer
+    matrix is an integer.  Per matrix, X' = rint(2^s X) with s as large as
+    _exact_matmul's guard allows for X'A (|A| <= 1), and A is certified iff
+    every row sum of |2^s I - X'A| is below 2^s, in exact integers.  That
+    proves A nonsingular (Rump, Acta Numerica 2010): Av = 0 with v != 0
+    would give (2^s I - X'A) v = 2^s v.  A floating LU can still meet a zero
+    pivot (LinAlgError); then nothing in the batch is certified.
+    """
+    b, n, _ = mats.shape
+    a = mats.astype(np.float64)
+    diag = a.reshape(b, n * n)[:, :: n + 1]
+    diag += _RUMP_SHIFT
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.zeros(b, dtype=bool)
+    diag -= _RUMP_SHIFT  # exact: restores the +-1 entries
+    # |X'| <= 2^t keeps n 2^t below 2^53 (the product guard) and each row
+    # sum of |X'A| at most n^2 2^t <= 2^61; s = t - e with max|X| < 2^e,
+    # kept in [0, 61], so every row sum of |2^s I - X'A| fits int64
+    t = min(53 - n.bit_length(), 61 - 2 * n.bit_length())
+    top = np.abs(x).max(axis=(1, 2), initial=0.0)
+    s = t - np.frexp(top)[1].astype(np.int64)
+    bad = ~np.isfinite(top) | (s < 0) | (s > 61)
+    x[bad] = 0.0  # X' = 0 certifies nothing: each row sum of |I| is 1
+    s[bad] = 0
+    x *= np.ldexp(1.0, s)[:, None, None]  # exact: a power of two
+    np.rint(x, out=x)
+    r = _exact_matmul(x, a, 1 << t, 1)
+    scale = np.left_shift(1, s)
+    r.reshape(b, n * n)[:, :: n + 1] -= scale[:, None]
+    np.abs(r, out=r)
+    return (r.sum(axis=2) < scale[:, None]).all(axis=1)
 
 
 def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
@@ -279,8 +358,11 @@ class SingularityEstimate:
 
 
 def singular_count_block(n: int, bits: np.ndarray) -> int:
-    """Exact count of singular matrices among the packed-bit batch."""
+    """Exact count of singular matrices among the packed-bit batch: the
+    matrices the Rump screen leaves uncertified go through the mod-p1 rank
+    and, past the Hadamard cutoff, Bareiss."""
     mats = _bits_to_sym(bits, n)
+    mats = mats[~_rump_certified(mats)]
     ranks = batch_rank_mod_p(mats, _SCREEN_PRIME)
     flagged = np.flatnonzero(ranks < n)
     if n**n < _SCREEN_PRIME**2:

@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
-from rholab.cli import cli_dispatch
+from rholab.cli import build_parser, cli_dispatch
 from rholab.inverse_lo import DESK_PROFILE
 
 # sha256 of the `verify-all --seed 42 --quick` artifacts.  Refactors must
@@ -104,6 +107,32 @@ def test_singularity_mc_reproducible_across_workers(tmp_path, capsys):
     assert run(capsys, args + ["--out", str(out1)])[0] == 0
     assert run(capsys, args + ["--workers", "3", "--out", str(out2)])[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_singularity_mc_reproducible_across_workers_past_the_bareiss_cutoff(tmp_path, capsys):
+    # n = 20 runs the LAPACK screen and Bareiss inside forked workers; 20500
+    # trials make two blocks, one per worker
+    args = ["singularity", "--mc", "--n", "20", "--trials", "20500", "--seed", "3"]
+    out1 = tmp_path / "a.csv"
+    out2 = tmp_path / "b.csv"
+    assert run(capsys, args + ["--workers", "1", "--out", str(out1)])[0] == 0
+    assert run(capsys, args + ["--workers", "2", "--out", str(out2)])[0] == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_parser_is_shared_and_defaults_do_not_leak(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    base = ["singularity", "--mc", "--n", "4", "--trials", "300"]
+    runs = [base + ["--seed", "7", "--format", "json"], base]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        assert run(capsys, argv + ["--out", str(here)])[0] == 0
+        proc = subprocess.run([sys.executable, "-m", "rholab.cli", *argv, "--out", str(fresh)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert here.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "here1").read_text().startswith("n,trials,")
 
 
 def test_out_naming_a_directory_exits_2(tmp_path, capsys):

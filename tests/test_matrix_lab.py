@@ -75,6 +75,17 @@ def test_exact_determinants_of_entries_past_int64():
     assert ml.det_bareiss(m) == ml.det_exact(m) == 1
 
 
+def test_determinants_need_square_input():
+    for mat in ([[1, 2]], [[1, 2, 3], [4, 5, 6]], [[1], [2]], [[]], [[1, 2], [3]],
+                np.zeros((0, 3)), np.zeros((2, 3))):
+        for det in (ml.det_bareiss, ml.det_exact):
+            with pytest.raises(PreconditionViolated):
+                det(mat)
+    for det in (ml.det_bareiss, ml.det_exact):
+        assert det([]) == det(np.zeros((0, 0))) == 1
+        assert det([[-7]]) == -7
+
+
 def test_rank_and_inverse_at_a_64_bit_prime():
     p = P64
     assert ml.rank_mod_p([[1, p - 1], [p - 1, 1]], p) == 1
@@ -187,6 +198,43 @@ def test_batch_rank_reduces_uint64_and_keeps_small_dtypes():
         assert int(ml.batch_rank_mod_p(np.array([b], dtype=dtype), 7)[0]) == ml.rank_mod_p(b, 7)
 
 
+@st.composite
+def _guarded_product_inputs(draw):
+    """(a, b, a_bound, b_bound) with inner_dim * a_bound * b_bound < 2^53."""
+    m, k, r = (draw(st.integers(0, 5)) for _ in range(3))
+    a_bound = draw(st.integers(0, 2**52))
+    b_bound = draw(st.integers(0, (2**53 - 1) // (max(k, 1) * max(a_bound, 1))))
+    a = draw(st.lists(st.lists(st.integers(-a_bound, a_bound), min_size=k, max_size=k),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(st.integers(-b_bound, b_bound), min_size=r, max_size=r),
+                      min_size=k, max_size=k))
+    return a, b, a_bound, b_bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(_guarded_product_inputs())
+def test_exact_matmul_matches_python_ints(case):
+    a, b, a_bound, b_bound = case
+    m, k, r = len(a), len(b), len(b[0]) if b else 0
+    got = ml._exact_matmul(np.array(a, dtype=np.int64).reshape(m, k),
+                           np.array(b, dtype=np.int64).reshape(k, r), a_bound, b_bound)
+    assert got.dtype == np.int64
+    want = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(r)] for i in range(m)]
+    assert got.tolist() == want
+
+
+def test_exact_matmul_guard_edge():
+    # 2^53 - 1 = 6361 * 69431 * 20394401 is the largest bound product allowed
+    a = np.full((2, 6361), 69431)
+    a[1] = -69431
+    b = np.full((6361, 1), 20394401)
+    assert ml._exact_matmul(a, b, 69431, 20394401).tolist() == [[2**53 - 1], [-(2**53 - 1)]]
+    with pytest.raises(GuardExceeded):
+        ml._exact_matmul([[2**26]], [[2**27]], 2**26, 2**27)
+    with pytest.raises(GuardExceeded):
+        ml._exact_matmul(a, b, 69431, 20394402)
+
+
 _PRIMES = st.one_of(st.integers(5, 2**16), st.integers(2**32, 2**62)).map(
     lambda x: next_prime(x).p
 )
@@ -281,6 +329,47 @@ def test_singularity_entry_points_reject_n_below_one(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert json.loads(err) == {"failures": {"error": "n must be >= 1"}}
+
+
+def _planted_bits(n: int, size: int) -> np.ndarray:
+    """Packed bits of random symmetric sign matrices: every third one with
+    row and column k a copy of row and column j, every third + 1 with them
+    negated, and the all-ones matrix last."""
+    g = substream(52, "screen-planted", n)
+    iu = np.triu_indices(n)
+    bits = g.integers(0, 2, size=(size, len(iu[0])), dtype=np.int64)
+    mats = ml._bits_to_sym(bits, n)
+    for i in range(0, size - 1 if n >= 2 else 0, 3):
+        for m, sign in ((mats[i], 1), (mats[i + 1], -1)):
+            j, k = g.choice(n, size=2, replace=False)
+            row = m[j].copy()
+            m[k, :] = m[:, k] = sign * row
+            m[k, k] = row[j]
+            m[j, k] = m[k, j] = sign * row[j]
+    bits = (mats[:, iu[0], iu[1]] + 1) // 2
+    return np.vstack([bits, np.ones((1, len(iu[0])), dtype=np.int64)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 16, 20, 40, 64])
+def test_rump_screen_is_sound_and_counts_stay_exact(n, monkeypatch):
+    bits = _planted_bits(n, {40: 20, 64: 8}.get(n, 120))
+    mats = ml._bits_to_sym(bits, n)
+    dets = [ml.det_bareiss(m) for m in mats]
+    certified = ml._rump_certified(mats)
+    assert all(d != 0 for d, c in zip(dets, certified) if c)
+    assert certified.any()
+    if n >= 2:
+        assert dets[0] == dets[1] == dets[-1] == 0  # the planted pairs and all-ones
+    want = sum(d == 0 for d in dets)
+    assert ml.singular_count_block(n, bits) == want
+    assert ml.singular_count_block(n, bits[:0]) == 0
+
+    def no_inverse(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    assert not ml._rump_certified(mats).any()
+    assert ml.singular_count_block(n, bits) == want
 
 
 def test_wilson_interval():
