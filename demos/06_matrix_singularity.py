@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Symmetric sign-matrix singularity: exact values, Monte Carlo, identities.
 
-Every Monte Carlo decision is exact: ranks are screened modulo the Mersenne
-prime 2^31 - 1 (already exact below n = 16 by the Hadamard bound) and any
-flagged matrix at larger n is confirmed with an exact integer determinant.
+Every Monte Carlo decision is exact: fraction-free elimination in float64
+is exact integer arithmetic for the first 13 steps on sign matrices (the
+Hadamard bound keeps every minor below 2^53), which decides n <= 14; past
+that, the trailing block gets its rank modulo the Mersenne prime 2^31 - 1
+and any block flagged there is confirmed with an exact integer determinant.
 The long-run comparison target is the folklore value n^2 2^{1-n} (two equal
 rows/columns up to sign).
 """

@@ -3,22 +3,19 @@ the algebraic identities behind the rank-reduction arguments.
 
 Exactness contract: a matrix is declared singular over Z only when its
 integer determinant is exactly zero.  singular_count_block, behind both the
-exhaustive and the Monte Carlo counts, passes a batch through three stages:
-
-1. the Rump screen (_rump_certified): an approximate inverse X of
-   A + 2^-20 I from batched LAPACK, rounded to X' = rint(2^s X), proves A
-   nonsingular when every row sum of |2^s I - X'A| is below 2^s, in exact
-   integers;
-2. the matrices it leaves uncertified get their rank modulo p1 = 2^31 - 1
-   in batched int64 elimination; for n <= 15 the Hadamard bound
-   n^{n/2} < p1 already makes rank < n exact;
-3. for larger n every matrix flagged singular mod p1 is confirmed by an
-   exact integer determinant from fraction-free (Bareiss) elimination.
-
-A certificate is a proof, a singular matrix is always flagged mod p1, and
-Bareiss confirms or clears each flag, so Monte Carlo counts are exact counts.
-The CRT determinant det_exact is an independent cross-check of Bareiss, not
-part of the count.
+exhaustive and the Monte Carlo counts, runs fraction-free (Bareiss)
+elimination on a batch of sign matrices in float64 (_float_bareiss).  The
+operands of step k are (k+1)-order minors, at most (k+1)^{(k+1)/2} by
+Hadamard's bound, so each numerator a_kk a_ij - a_ik a_kj is an integer
+below 2 (k+1)^{k+1} and every step k <= 12 is exact: the first
+_FLOAT_STEPS = 13 steps decide every n <= 14.  A matrix with no pivot in a
+column is singular.  For n >= 15 the trailing (n-13)-square block T of the
+others holds 14-order minors, at most 14^7; Sylvester's identity gives
+det T = +-det(A_13)^{n-14} det A (rows swapped) with the leading block A_13
+nonsingular, so T's rank modulo p1 = 2^31 - 1 in batched int64 flags every
+singular A, and Bareiss on T in Python ints confirms or clears each flag.
+So Monte Carlo counts are exact counts.  The CRT determinant det_exact is an
+independent cross-check of Bareiss, not part of the count.
 
 Number formats: per-matrix work (determinants, ranks, RREF, inverses,
 adjugates, identity checks) reads every entry with int() into Python ints,
@@ -26,9 +23,10 @@ held in numpy object arrays where a matmul reads better; it is exact for
 every prime PrimeModulus accepts and needs no guard.  The batched kernels
 (batch_rank_mod_p, odlyzko_check's sign-vector reduction, _solution_counts)
 work in int64 and raise GuardExceeded before a value could reach 2^63.  The
-screen's integer product X'A runs in float64 through _exact_matmul, which is
-exact because it raises GuardExceeded unless inner_dim * max|a| * max|b| is
-below 2^53, and returns int64.
+float64 elimination holds integers below 2^53 by the bound above, which
+rests on +-1 entries: singular_count_block rejects bits outside {0, 1}.
+_exact_matmul multiplies integer arrays in float64 and is exact because it
+raises GuardExceeded unless inner_dim * max|a| * max|b| is below 2^53.
 """
 
 from __future__ import annotations
@@ -58,7 +56,10 @@ _ODLYZKO_GUARD = 14
 _DECOUPLE_SUPPORT_GUARD = 16
 _Q_ENUM_GUARD = 10**8
 _MC_BLOCK = 20000  # trials per Monte Carlo block
-_RUMP_SHIFT = 2.0**-20  # diagonal shift before the floating inverse
+_SUB_BATCH = 1024  # matrices per float64 elimination in singular_count_block
+# Float64 Bareiss steps that stay exact on sign matrices: step k's numerator
+# is below 2 (k+1)^(k+1) (Hadamard), under 2^53 up to k = 12.
+_FLOAT_STEPS = max(k for k in range(1, 64) if 2 * k**k < 2**53)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -209,13 +210,18 @@ def rref_mod_p(mat, p: PrimeModulus | int) -> tuple[list[list[int]], list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _bits_to_sym(bits: np.ndarray, n: int) -> np.ndarray:
-    """[B, n(n+1)/2] in {0,1} -> [B, n, n] symmetric +-1 matrices, gathered
-    through the packed position of each entry."""
+def _packed_positions(n: int) -> np.ndarray:
+    """(n, n) index of each entry's bit in the packed row-major upper triangle."""
     rows, cols = np.triu_indices(n)
     pos = np.empty((n, n), dtype=np.intp)
     pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
-    return np.take(np.asarray(bits, dtype=np.int64) * 2 - 1, pos, axis=1)
+    return pos
+
+
+def _bits_to_sym(bits: np.ndarray, n: int) -> np.ndarray:
+    """[B, n(n+1)/2] in {0,1} -> [B, n, n] symmetric +-1 matrices, gathered
+    through the packed position of each entry."""
+    return np.take(np.asarray(bits, dtype=np.int64) * 2 - 1, _packed_positions(n), axis=1)
 
 
 def _exact_matmul(a, b, a_bound: int, b_bound: int) -> np.ndarray:
@@ -234,43 +240,45 @@ def _exact_matmul(a, b, a_bound: int, b_bound: int) -> np.ndarray:
     return (a @ b).astype(np.int64)
 
 
-def _rump_certified(mats: np.ndarray) -> np.ndarray:
-    """Mask of the sign matrices in the [B, n, n] batch proved nonsingular.
+def _float_bareiss(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """Fraction-free elimination of the (n, n, B) float64 batch of sign
+    matrices (batch innermost, overwritten) for min(n - 1, _FLOAT_STEPS)
+    steps.
 
-    X approximates the inverse of A + 2^-20 I from batched LAPACK; the shift
-    keeps X finite on singular A, since a rational eigenvalue of an integer
-    matrix is an integer.  Per matrix, X' = rint(2^s X) with s as large as
-    _exact_matmul's guard allows for X'A (|A| <= 1), and A is certified iff
-    every row sum of |2^s I - X'A| is below 2^s, in exact integers.  That
-    proves A nonsingular (Rump, Acta Numerica 2010): Av = 0 with v != 0
-    would give (2^s I - X'A) v = 2^s v.  A floating LU can still meet a zero
-    pivot (LinAlgError); then nothing in the batch is certified.
+    At each step a matrix swaps in its first nonzero pivot of the column;
+    one with none is singular and is dropped from the batch.  Every trailing
+    entry becomes (a_kk a_ij - a_ik a_kj) / (previous pivot).  Returns the
+    number dropped and the trailing blocks of the rest: 1 x 1 blocks that
+    all hold a nonzero determinant when n <= _FLOAT_STEPS + 1, otherwise
+    (n - _FLOAT_STEPS)-square blocks T with det T = 0 iff det A = 0
+    (Sylvester's identity; the leading pivot block is nonsingular).
     """
-    b, n, _ = mats.shape
-    a = mats.astype(np.float64)
-    diag = a.reshape(b, n * n)[:, :: n + 1]
-    diag += _RUMP_SHIFT
-    try:
-        x = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return np.zeros(b, dtype=bool)
-    diag -= _RUMP_SHIFT  # exact: restores the +-1 entries
-    # |X'| <= 2^t keeps n 2^t below 2^53 (the product guard) and each row
-    # sum of |X'A| at most n^2 2^t <= 2^61; s = t - e with max|X| < 2^e,
-    # kept in [0, 61], so every row sum of |2^s I - X'A| fits int64
-    t = min(53 - n.bit_length(), 61 - 2 * n.bit_length())
-    top = np.abs(x).max(axis=(1, 2), initial=0.0)
-    s = t - np.frexp(top)[1].astype(np.int64)
-    bad = ~np.isfinite(top) | (s < 0) | (s > 61)
-    x[bad] = 0.0  # X' = 0 certifies nothing: each row sum of |I| is 1
-    s[bad] = 0
-    x *= np.ldexp(1.0, s)[:, None, None]  # exact: a power of two
-    np.rint(x, out=x)
-    r = _exact_matmul(x, a, 1 << t, 1)
-    scale = np.left_shift(1, s)
-    r.reshape(b, n * n)[:, :: n + 1] -= scale[:, None]
-    np.abs(r, out=r)
-    return (r.sum(axis=2) < scale[:, None]).all(axis=1)
+    steps = min(a.shape[0] - 1, _FLOAT_STEPS)
+    singular = 0
+    prev = np.ones(a.shape[2])
+    for k in range(steps + 1):
+        nz = a[:, 0] != 0
+        live = nz.any(axis=0)
+        if not live.all():
+            keep = np.flatnonzero(live)
+            singular += live.size - keep.size
+            a, nz, prev = np.take(a, keep, axis=2), nz[:, keep], prev[keep]
+        if k == steps:
+            break
+        piv = nz.argmax(axis=0)
+        sw = np.flatnonzero(piv)
+        r = piv[sw]
+        rows = a[r, :, sw]
+        a[r, :, sw] = a[0, :, sw]
+        a[0, :, sw] = rows
+        pivot = a[0, 0].copy()
+        cross = a[1:, :1] * a[:1, 1:]
+        a = a[1:, 1:]
+        a *= pivot
+        a -= cross
+        a /= prev
+        prev = pivot
+    return singular, a
 
 
 def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
@@ -339,6 +347,8 @@ def singularity_exact(n: int) -> Fraction:
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
     if trials <= 0:
         raise PreconditionViolated("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise PreconditionViolated("successes must lie in [0, trials]")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -358,17 +368,28 @@ class SingularityEstimate:
 
 
 def singular_count_block(n: int, bits: np.ndarray) -> int:
-    """Exact count of singular matrices among the packed-bit batch: the
-    matrices the Rump screen leaves uncertified go through the mod-p1 rank
-    and, past the Hadamard cutoff, Bareiss."""
-    mats = _bits_to_sym(bits, n)
-    mats = mats[~_rump_certified(mats)]
-    ranks = batch_rank_mod_p(mats, _SCREEN_PRIME)
-    flagged = np.flatnonzero(ranks < n)
-    if n**n < _SCREEN_PRIME**2:
-        # Hadamard bound n^{n/2} below the screening prime: mod-p1 zero is exact zero
-        return int(flagged.size)
-    return sum(1 for i in flagged if det_bareiss(mats[int(i)]) == 0)
+    """Exact count of singular matrices among the [B, n(n+1)/2] packed-bit
+    batch: float64 Bareiss decides n <= _FLOAT_STEPS + 1; past that the
+    trailing blocks it leaves get their rank mod p1, and Bareiss on Python
+    ints confirms each one flagged."""
+    bits = np.asarray(bits)
+    if n < 1:
+        raise PreconditionViolated("n must be >= 1")
+    if bits.ndim != 2 or bits.shape[1] != n * (n + 1) // 2:
+        raise PreconditionViolated("bits must have shape [B, n(n+1)/2]")
+    if not ((bits == 0) | (bits == 1)).all():
+        raise PreconditionViolated("bits must be 0 or 1")
+    pos = _packed_positions(n)
+    singular = 0
+    for start in range(0, len(bits), _SUB_BATCH):
+        signs = bits[start : start + _SUB_BATCH].T * 2.0 - 1.0
+        dropped, t = _float_bareiss(signs[pos])
+        singular += dropped
+        if n > _FLOAT_STEPS + 1:
+            t = t.transpose(2, 0, 1).astype(np.int64)
+            flagged = np.flatnonzero(batch_rank_mod_p(t, _SCREEN_PRIME) < len(t[0]))
+            singular += sum(1 for i in flagged if det_bareiss(t[i]) == 0)
+    return singular
 
 
 def _trial_blocks(n: int, trials: int) -> list[int]:

@@ -350,33 +350,99 @@ def _planted_bits(n: int, size: int) -> np.ndarray:
     return np.vstack([bits, np.ones((1, len(iu[0])), dtype=np.int64)])
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 12, 16, 20, 40, 64])
-def test_rump_screen_is_sound_and_counts_stay_exact(n, monkeypatch):
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 13, 14, 15, 16, 20, 40, 64])
+def test_singular_count_block_matches_bareiss(n):
     bits = _planted_bits(n, {40: 20, 64: 8}.get(n, 120))
-    mats = ml._bits_to_sym(bits, n)
-    dets = [ml.det_bareiss(m) for m in mats]
-    certified = ml._rump_certified(mats)
-    assert all(d != 0 for d, c in zip(dets, certified) if c)
-    assert certified.any()
+    dets = [ml.det_bareiss(m) for m in ml._bits_to_sym(bits, n)]
     if n >= 2:
         assert dets[0] == dets[1] == dets[-1] == 0  # the planted pairs and all-ones
-    want = sum(d == 0 for d in dets)
-    assert ml.singular_count_block(n, bits) == want
-    assert ml.singular_count_block(n, bits[:0]) == 0
+    with np.errstate(all="raise"):
+        assert ml.singular_count_block(n, bits) == sum(d == 0 for d in dets)
+        assert ml.singular_count_block(n, bits[:0]) == 0
 
-    def no_inverse(a):
-        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "inv", no_inverse)
-    assert not ml._rump_certified(mats).any()
+def test_singular_count_block_across_sub_batches():
+    n = 15
+    bits = _planted_bits(n, ml._SUB_BATCH + 37)
+    want = sum(ml.det_bareiss(m) == 0 for m in ml._bits_to_sym(bits, n))
     assert ml.singular_count_block(n, bits) == want
+
+
+def test_mod_p_flags_are_confirmed_by_bareiss(monkeypatch):
+    # A rank drop mod p1 is only a flag: with every trailing block flagged,
+    # the Bareiss confirmation alone must give the count.
+    monkeypatch.setattr(ml, "batch_rank_mod_p", lambda mats, p: np.zeros(len(mats), dtype=np.int64))
+    for n in (15, 20):
+        bits = _planted_bits(n, 60)
+        want = sum(ml.det_bareiss(m) == 0 for m in ml._bits_to_sym(bits, n))
+        assert ml.singular_count_block(n, bits) == want
+
+
+def _sylvester_hadamard(order: int) -> np.ndarray:
+    h = np.ones((1, 1), dtype=np.int64)
+    while len(h) < order:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def test_singular_count_block_on_hadamard_matrices():
+    # Symmetric Hadamard matrices reach Hadamard's bound |det| = n^{n/2},
+    # the bound that the float stage's exactness rests on.
+    for n in (2, 4, 8, 16):
+        h = _sylvester_hadamard(n)
+        iu = np.triu_indices(n)
+        singular = h.copy()
+        singular[-1] = singular[:, -1] = h[0]
+        bits = (np.stack([h[iu], singular[iu]]) + 1) // 2
+        assert ml.det_bareiss(h) ** 2 == n**n
+        assert ml.singular_count_block(n, bits) == 1
+
+
+def test_float_stage_takes_thirteen_exact_steps(monkeypatch):
+    k = ml._FLOAT_STEPS
+    assert k == 13 and 2 * k**k < 2**53 <= 2 * (k + 1) ** (k + 1)
+    seen = []
+    real = ml.batch_rank_mod_p
+
+    def spy(mats, p):
+        seen.append((mats.shape, mats.dtype, int(np.abs(mats).max(initial=0))))
+        return real(mats, p)
+
+    monkeypatch.setattr(ml, "batch_rank_mod_p", spy)
+    ml.singular_count_block(14, _planted_bits(14, 60))
+    assert seen == []  # n <= 14: float64 decides every matrix
+    ml.singular_count_block(20, _planted_bits(20, 60))
+    (shape, dtype, top), = seen
+    assert shape[1:] == (7, 7) and dtype == np.int64 and top <= 14**7
+
+
+@pytest.mark.parametrize(
+    "n, bits",
+    [
+        (0, np.zeros((2, 0), dtype=np.int64)),
+        (3, np.ones((2, 10), dtype=np.int64)),
+        (3, np.ones((2, 5), dtype=np.int64)),
+        (3, np.ones((2, 1, 6), dtype=np.int64)),
+        (3, np.ones(6, dtype=np.int64)),
+        (3, np.array([[1, 0, 2, 1, 0, 1]])),
+        (3, np.array([[1, 0, -1, 1, 0, 1]])),
+        (3, np.array([[1, 0, 0.5, 1, 0, 1]])),
+    ],
+)
+def test_singular_count_block_rejects_what_it_cannot_count(n, bits):
+    with pytest.raises(PreconditionViolated):
+        ml.singular_count_block(n, bits)
 
 
 def test_wilson_interval():
     lo, hi = ml.wilson_interval(50, 100)
     assert lo < 0.5 < hi
-    with pytest.raises(PreconditionViolated):
-        ml.wilson_interval(0, 0)
+    for successes in (0, 10):
+        lo, hi = ml.wilson_interval(successes, 10)
+        assert 0.0 <= lo < hi <= 1.0
+    for successes, trials in ((0, 0), (5, 3), (-1, 10), (11, 10)):
+        with pytest.raises(PreconditionViolated):
+            ml.wilson_interval(successes, trials)
 
 
 def test_singularity_mc_small():
