@@ -3,9 +3,10 @@
 
 Every Monte Carlo decision is exact: fraction-free elimination in float64
 is exact integer arithmetic for the first 13 steps on sign matrices (the
-Hadamard bound keeps every minor below 2^53), which decides n <= 14; past
-that, the trailing block gets its rank modulo the Mersenne prime 2^31 - 1
-and any block flagged there is confirmed with an exact integer determinant.
+Hadamard bound keeps every minor below 2^53, and below 2^24 for the first 7
+steps, which run in float32), which decides n <= 14; past
+that, the trailing block gets its rank modulo the prime 2^20 + 7 and any
+block flagged there is confirmed with an exact integer determinant.
 The long-run comparison target is the folklore value n^2 2^{1-n} (two equal
 rows/columns up to sign).
 """

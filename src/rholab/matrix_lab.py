@@ -8,25 +8,28 @@ elimination on a batch of sign matrices in float64 (_float_bareiss).  The
 operands of step k are (k+1)-order minors, at most (k+1)^{(k+1)/2} by
 Hadamard's bound, so each numerator a_kk a_ij - a_ik a_kj is an integer
 below 2 (k+1)^{k+1} and every step k <= 12 is exact: the first
-_FLOAT_STEPS = 13 steps decide every n <= 14.  A matrix with no pivot in a
+_FLOAT_STEPS = 13 steps decide every n <= 14 (the first 7, below 2^24,
+run in float32).  A matrix with no pivot in a
 column is singular.  For n >= 15 the trailing (n-13)-square block T of the
 others holds 14-order minors, at most 14^7; Sylvester's identity gives
 det T = +-det(A_13)^{n-14} det A (rows swapped) with the leading block A_13
-nonsingular, so T's rank modulo p1 = 2^31 - 1 in batched int64 flags every
-singular A, and Bareiss on T in Python ints confirms or clears each flag.
-So Monte Carlo counts are exact counts.  The CRT determinant det_exact is an
-independent cross-check of Bareiss, not part of the count.
+nonsingular, so T's rank modulo _BLOCK_PRIME flags every singular A, and
+Bareiss on T in Python ints confirms or clears each flag.  So Monte Carlo
+counts are exact counts.  The CRT determinant det_exact is an independent
+cross-check of Bareiss, not part of the count.
 
 Number formats: per-matrix work (determinants, ranks, RREF, inverses,
 adjugates, identity checks) reads every entry with int() into Python ints,
 held in numpy object arrays where a matmul reads better; it is exact for
 every prime PrimeModulus accepts and needs no guard.  The batched kernels
 (batch_rank_mod_p, odlyzko_check's sign-vector reduction, _solution_counts)
-work in int64 and raise GuardExceeded before a value could reach 2^63.  The
-float64 elimination holds integers below 2^53 by the bound above, which
-rests on +-1 entries: singular_count_block rejects bits outside {0, 1}.
-_exact_matmul multiplies integer arrays in float64 and is exact because it
-raises GuardExceeded unless inner_dim * max|a| * max|b| is below 2^53.
+work in int64 and raise GuardExceeded before a value could reach 2^63;
+batch_rank_mod_p works in float64 instead for p < 2^26, keeping every
+value an integer below 2^53.  The float64 elimination holds integers below
+2^53 by the bound above, which rests on +-1 entries: singular_count_block
+rejects bits outside {0, 1}.  _exact_matmul multiplies integer arrays in
+float64 and is exact because it raises GuardExceeded unless
+inner_dim * max|a| * max|b| is below 2^53.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from .errors import (
 from .rng import substream
 from .zp_core import PrimeModulus, ZpVector, is_prime_u64
 
-_SCREEN_PRIME = 2**31 - 1  # Mersenne prime; elimination products fit int64
+_CRT_START = 2**31 - 1  # Mersenne prime: the first CRT prime of det_exact
+_BLOCK_PRIME = 2**20 + 7  # prime below 2^26 (float64 ranks); p - 2 has 3 set bits
 _DET_GUARD = 64
 _EXACT_ENUM_GUARD = 6
 _MATCH_GUARD = 4
@@ -60,6 +64,8 @@ _SUB_BATCH = 1024  # matrices per float64 elimination in singular_count_block
 # Float64 Bareiss steps that stay exact on sign matrices: step k's numerator
 # is below 2 (k+1)^(k+1) (Hadamard), under 2^53 up to k = 12.
 _FLOAT_STEPS = max(k for k in range(1, 64) if 2 * k**k < 2**53)
+# The first 7 of them stay below 2^24, exact in float32.
+_FLOAT32_STEPS = max(k for k in range(1, 64) if 2 * k**k < 2**24)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -157,7 +163,7 @@ def _crt_primes(bound: int) -> list[int]:
     """Descending word-size primes whose product exceeds 2 * bound."""
     primes: list[int] = []
     prod = 1
-    c = _SCREEN_PRIME
+    c = _CRT_START
     while prod <= 2 * bound:
         while not is_prime_u64(c):
             c -= 2
@@ -231,7 +237,9 @@ def _exact_matmul(a, b, a_bound: int, b_bound: int) -> np.ndarray:
     Every product and every partial sum is an integer of magnitude at most
     inner_dim * a_bound * b_bound, so while that is below 2^53 the float64
     matmul (BLAS, any summation order) is exact integer arithmetic
-    (GuardExceeded otherwise).
+    (GuardExceeded otherwise).  Nothing in the package calls it: it is kept,
+    with its tests, for the exact count by bordering (ROADMAP open item 1),
+    which multiplies adjugates by sign vectors.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -240,37 +248,41 @@ def _exact_matmul(a, b, a_bound: int, b_bound: int) -> np.ndarray:
     return (a @ b).astype(np.int64)
 
 
-def _float_bareiss(a: np.ndarray) -> tuple[int, np.ndarray]:
-    """Fraction-free elimination of the (n, n, B) float64 batch of sign
-    matrices (batch innermost, overwritten) for min(n - 1, _FLOAT_STEPS)
-    steps.
+def _float_bareiss(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction-free elimination of the (n, n, B) batch of sign matrices
+    (batch innermost, overwritten) for min(n - 1, _FLOAT_STEPS) steps.  A
+    float32 batch runs its first _FLOAT32_STEPS steps, whose numerators
+    stay below 2^24, in float32 (half the memory traffic), the rest in
+    float64.
 
     At each step a matrix swaps in its first nonzero pivot of the column;
     one with none is singular and is dropped from the batch.  Every trailing
     entry becomes (a_kk a_ij - a_ik a_kj) / (previous pivot).  Returns the
-    number dropped and the trailing blocks of the rest: 1 x 1 blocks that
-    all hold a nonzero determinant when n <= _FLOAT_STEPS + 1, otherwise
-    (n - _FLOAT_STEPS)-square blocks T with det T = 0 iff det A = 0
-    (Sylvester's identity; the leading pivot block is nonsingular).
+    batch indices of the singular matrices, ascending, and the trailing
+    blocks of the rest: 1 x 1 blocks that all hold a nonzero determinant
+    when n <= _FLOAT_STEPS + 1, otherwise (n - _FLOAT_STEPS)-square blocks T
+    with det T = 0 iff det A = 0 (Sylvester's identity; the leading pivot
+    block is nonsingular).
     """
     steps = min(a.shape[0] - 1, _FLOAT_STEPS)
-    singular = 0
-    prev = np.ones(a.shape[2])
+    live = np.arange(a.shape[2])
+    singular = [live[:0]]
+    prev = np.ones(a.shape[2], dtype=a.dtype)
     for k in range(steps + 1):
+        if k == _FLOAT32_STEPS:
+            a, prev = a.astype(np.float64), prev.astype(np.float64)
         nz = a[:, 0] != 0
-        live = nz.any(axis=0)
-        if not live.all():
-            keep = np.flatnonzero(live)
-            singular += live.size - keep.size
-            a, nz, prev = np.take(a, keep, axis=2), nz[:, keep], prev[keep]
+        has = nz.any(axis=0)
+        if not has.all():
+            keep = np.flatnonzero(has)
+            singular.append(live[~has])
+            a, nz, prev, live = np.take(a, keep, axis=2), nz[:, keep], prev[keep], live[keep]
         if k == steps:
             break
         piv = nz.argmax(axis=0)
         sw = np.flatnonzero(piv)
         r = piv[sw]
-        rows = a[r, :, sw]
-        a[r, :, sw] = a[0, :, sw]
-        a[0, :, sw] = rows
+        a[0, :, sw], a[r, :, sw] = a[r, :, sw], a[0, :, sw]
         pivot = a[0, 0].copy()
         cross = a[1:, :1] * a[:1, 1:]
         a = a[1:, 1:]
@@ -278,15 +290,53 @@ def _float_bareiss(a: np.ndarray) -> tuple[int, np.ndarray]:
         a -= cross
         a /= prev
         prev = pivot
-    return singular, a
+    return np.sort(np.concatenate(singular)), a
+
+
+def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place: int64 to [0, p); float64, by subtracting p times the
+    integer nearest to x/p as rounded, to |x| <= p/2 + 2, exactly while
+    |x| < 2^53."""
+    if x.dtype == np.int64:
+        x %= p
+    else:
+        q = np.rint(x * (1.0 / p))
+        q *= p
+        x -= q
+    return x
+
+
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of the reduced residues x, all nonzero mod p, as x^(p-2)."""
+    inv = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv *= x
+            _reduce_mod(inv, p)
+        e >>= 1
+        if e:
+            x = _reduce_mod(x * x, p)
+    return inv
 
 
 def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over F_p for a batch of square matrices, division-free.
+    """Ranks over F_p for a batch of square matrices.
 
-    Row updates use a_pp * row - a_rp * pivot_row, which preserves rank as
-    long as a_pp != 0 mod p; products stay below 2^63 while (p - 1)^2 < 2^63
-    (GuardExceeded otherwise).
+    The batch runs innermost, as an (n, n, B) array.  Each step brings a
+    nonzero entry to the corner of every matrix's trailing block: the first
+    one of its first column by a row swap or, when that column is zero, the
+    first nonzero column by a column swap; neither changes the rank.  The
+    other rows lose l_i = a_i0 / a_00 times the first row, whose residues
+    are reduced first, and the first row and column are dropped.  A matrix
+    whose trailing block is zero has its rank and leaves the batch.
+
+    For p < 2^26 the entries are float64 and a reduced residue is at most
+    p/2 + 2, so each product l_i a_0j is below 2^51; otherwise int64 with
+    residues in [0, p) and products below (p - 1)^2 < 2^63 (GuardExceeded
+    past that).  The trailing block is reduced only when one more step
+    could take an entry past 2^53 (float64) or 2^63 (int64), so every value
+    is an exact integer.
     """
     if (p - 1) ** 2 >= 2**63:
         raise GuardExceeded("batch_rank_mod_p needs (p - 1)^2 < 2^63 for int64 products")
@@ -296,28 +346,46 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     a = np.asarray(mats, dtype=None if isinstance(mats, np.ndarray) else object)
     if a.dtype in (object, np.uint64):
         a = a % p
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
+    a = np.asarray(a, dtype=np.int64) % p
     b, n, _ = a.shape
-    rank = np.zeros(b, dtype=np.int64)
-    bidx = np.arange(b)
-    for col in range(n):
-        # Rows from a matrix's pivot row `rank` down are zero left of col, and
-        # rows above the batch's lowest pivot row are finished, so each step
-        # swaps and updates only the trailing block a[:, lo:, col:].
-        lo = int(rank.min()) if b else 0
-        t = a[:, lo:, col:]
-        r = rank - lo
-        idx = np.arange(n - lo)[None, :]
-        cand = (t[:, :, 0] != 0) & (idx >= r[:, None])
-        has = cand.any(axis=1)
-        hb, hr, hp = bidx[has], r[has], cand[has].argmax(axis=1)
-        t[hb, hr], t[hb, hp] = t[hb, hp], t[hb, hr]
-        pivot_rows = t[bidx, r]
-        fac = t[:, :, 0]
-        em = (idx > r[:, None]) & has[:, None] & (fac != 0)
-        upd = (pivot_rows[:, None, :1] * t - fac[:, :, None] * pivot_rows[:, None, :]) % p
-        np.copyto(t, upd, where=em[:, :, None])
-        rank = rank + has
+    if p < 2**26:
+        a = np.ascontiguousarray(a.transpose(1, 2, 0), dtype=np.float64)
+        limit, step = 2**53, (p // 2 + 2) ** 2
+    else:
+        a = np.ascontiguousarray(a.transpose(1, 2, 0))
+        limit, step = 2**63, (p - 1) ** 2
+    top = p  # bound on |entry|: p right after a reduction, + step per step
+    buf = np.empty_like(a)
+    rank = np.full(b, n, dtype=np.int64)
+    live = np.arange(b)
+    for k in range(n):
+        nz = _reduce_mod(a[:, 0], p) != 0
+        has = nz.any(axis=0)
+        if not has.all():
+            lack = np.flatnonzero(~has)
+            a[:, :, lack] = block = _reduce_mod(a[:, :, lack], p)
+            cols = (block != 0).any(axis=0)
+            found = cols.any(axis=0)
+            sw, c = lack[found], cols[:, found].argmax(axis=0)
+            a[:, 0, sw], a[:, c, sw] = a[:, c, sw], a[:, 0, sw]
+            has[sw] = True
+            if not has.all():
+                rank[live[~has]] = k
+                keep = np.flatnonzero(has)
+                a, live, buf = np.take(a, keep, axis=2), live[keep], buf[:, :, : keep.size]
+            nz = a[:, 0] != 0
+        piv = nz.argmax(axis=0)
+        sw = np.flatnonzero(piv)
+        r = piv[sw]
+        a[0, :, sw], a[r, :, sw] = a[r, :, sw], a[0, :, sw]
+        row = _reduce_mod(a[:1, 1:], p)
+        col = _reduce_mod(a[1:, :1] * _inverse_mod(a[0, 0], p), p)
+        a = a[1:, 1:]
+        if top + step >= limit:
+            _reduce_mod(a, p)
+            top = p
+        a -= np.multiply(col, row, out=buf[: len(a), : len(a)])
+        top += step
     return rank
 
 
@@ -369,9 +437,10 @@ class SingularityEstimate:
 
 def singular_count_block(n: int, bits: np.ndarray) -> int:
     """Exact count of singular matrices among the [B, n(n+1)/2] packed-bit
-    batch: float64 Bareiss decides n <= _FLOAT_STEPS + 1; past that the
-    trailing blocks it leaves get their rank mod p1, and Bareiss on Python
-    ints confirms each one flagged."""
+    batch, in sub-batches of _SUB_BATCH: float64 Bareiss decides
+    n <= _FLOAT_STEPS + 1; past that the trailing blocks it leaves get
+    their rank mod _BLOCK_PRIME, and Bareiss on Python ints confirms each
+    block whose rank drops."""
     bits = np.asarray(bits)
     if n < 1:
         raise PreconditionViolated("n must be >= 1")
@@ -380,16 +449,21 @@ def singular_count_block(n: int, bits: np.ndarray) -> int:
     if not ((bits == 0) | (bits == 1)).all():
         raise PreconditionViolated("bits must be 0 or 1")
     pos = _packed_positions(n)
-    singular = 0
-    for start in range(0, len(bits), _SUB_BATCH):
-        signs = bits[start : start + _SUB_BATCH].T * 2.0 - 1.0
-        dropped, t = _float_bareiss(signs[pos])
-        singular += dropped
-        if n > _FLOAT_STEPS + 1:
-            t = t.transpose(2, 0, 1).astype(np.int64)
-            flagged = np.flatnonzero(batch_rank_mod_p(t, _SCREEN_PRIME) < len(t[0]))
-            singular += sum(1 for i in flagged if det_bareiss(t[i]) == 0)
-    return singular
+    return sum(
+        _sub_batch_singular(n, bits[start : start + _SUB_BATCH], pos)
+        for start in range(0, len(bits), _SUB_BATCH)
+    )
+
+
+def _sub_batch_singular(n: int, bits: np.ndarray, pos: np.ndarray) -> int:
+    """Exact count of singular matrices in a packed-bit sub-batch, laid out
+    as (n, n, B) float32 signs through the packed positions pos."""
+    flagged, t = _float_bareiss((bits.T.astype(np.float32) * 2 - 1)[pos])
+    if n <= _FLOAT_STEPS + 1:
+        return int(flagged.size)
+    t = t.transpose(2, 0, 1).astype(np.int64)
+    suspects = np.flatnonzero(batch_rank_mod_p(t, _BLOCK_PRIME) < n - _FLOAT_STEPS)
+    return int(flagged.size) + sum(1 for i in suspects if det_bareiss(t[i]) == 0)
 
 
 def _trial_blocks(n: int, trials: int) -> list[int]:

@@ -198,6 +198,30 @@ def test_batch_rank_reduces_uint64_and_keeps_small_dtypes():
         assert int(ml.batch_rank_mod_p(np.array([b], dtype=dtype), 7)[0]) == ml.rank_mod_p(b, 7)
 
 
+@pytest.mark.parametrize("p", [2, 3, 2**20 + 7, 2**26 - 5, 2**26 + 15])
+def test_batch_rank_either_side_of_the_float64_bound(p):
+    # below 2^26 the kernel runs in float64 (near 2^26 the trailing block
+    # needs a reduction every few steps), from 2^26 on in int64
+    assert is_prime_u64(p) and (p < 2**26) == (p in (2, 3, 2**20 + 7, 2**26 - 5))
+    for n in (1, 2, 9, 17):
+        g = substream(52, f"batch-float-{p}", n)
+        full = g.integers(-(2**40), 2**40, size=(30, n, n))
+        low = np.array([_low_rank_symmetric(g, n, p) for _ in range(30)])
+        for mats in (full, low):
+            assert ml.batch_rank_mod_p(mats, p).tolist() == [ml.rank_mod_p(m, p) for m in mats]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 2**20 + 7, 2**26 - 5, 2**26 + 15])
+def test_inverse_mod(p):
+    x = np.unique(np.linspace(1, p - 1, 300).astype(np.int64))
+    if p < 2**26:  # float64 residues may be centred, so negative
+        x = np.where(x > p // 2, x - p, x)
+        inv = ml._inverse_mod(x.astype(np.float64), p).astype(np.int64)
+    else:
+        inv = ml._inverse_mod(x, p)
+    assert (x * inv % p == 1).all()
+
+
 @st.composite
 def _guarded_product_inputs(draw):
     """(a, b, a_bound, b_bound) with inner_dim * a_bound * b_bound < 2^53."""
@@ -362,10 +386,33 @@ def test_singular_count_block_matches_bareiss(n):
 
 
 def test_singular_count_block_across_sub_batches():
+    # the last sub-batch holds only the all-ones matrix, which the float
+    # stage drops, so no trailing block is left there
     n = 15
-    bits = _planted_bits(n, ml._SUB_BATCH + 37)
+    bits = _planted_bits(n, ml._SUB_BATCH)
     want = sum(ml.det_bareiss(m) == 0 for m in ml._bits_to_sym(bits, n))
     assert ml.singular_count_block(n, bits) == want
+
+
+@pytest.mark.parametrize("n", [14, 15, 20])
+def test_singular_count_block_when_every_matrix_is_singular(n):
+    ones = np.ones((2, n * (n + 1) // 2), dtype=np.int64)
+    assert ml.singular_count_block(n, ones[:1]) == 1
+    assert ml.singular_count_block(n, ones) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 14, 15, 20])
+def test_float_stage_flags_only_singular_matrices(n):
+    bits = _planted_bits(n, 60)
+    dets = [ml.det_bareiss(m) for m in ml._bits_to_sym(bits, n)]
+    singular = [i for i, d in enumerate(dets) if d == 0]
+    flagged, t = ml._float_bareiss((bits.T * 2 - 1).astype(np.float32)[ml._packed_positions(n)])
+    m = max(n - ml._FLOAT_STEPS, 1)
+    assert t.shape == (m, m, len(bits) - flagged.size)
+    if n <= ml._FLOAT_STEPS + 1:
+        assert flagged.tolist() == singular  # all exact: no pivot iff det = 0
+    else:
+        assert set(flagged.tolist()) <= set(singular)
 
 
 def test_mod_p_flags_are_confirmed_by_bareiss(monkeypatch):
@@ -401,6 +448,8 @@ def test_singular_count_block_on_hadamard_matrices():
 def test_float_stage_takes_thirteen_exact_steps(monkeypatch):
     k = ml._FLOAT_STEPS
     assert k == 13 and 2 * k**k < 2**53 <= 2 * (k + 1) ** (k + 1)
+    k32 = ml._FLOAT32_STEPS
+    assert k32 == 7 and 2 * k32**k32 < 2**24 <= 2 * (k32 + 1) ** (k32 + 1)
     seen = []
     real = ml.batch_rank_mod_p
 
