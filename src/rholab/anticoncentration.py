@@ -20,11 +20,24 @@ shift, one add and a fold of the high limbs onto the low ones; the x^-e
 factors add up to one offset applied on unpacking.  A lazy step,
 x^e + 2 + x^-e = x^-e (1 + x^e)^2, is two steps by x^e.  Classes of equal
 +-e are taken largest first.  While the law is still one atom, a class of
-k >= _BLOCK entries joins by one multiplication with the packed binomial row
-of (1 + x^2e)^k (lazy: (1 + x^e)^2k); against a law of many atoms that
-product costs more than the k steps.  The lattice walk over Z is the walk
+k >= _BLOCK entries joins in one go: the law becomes the binomial row of
+(1 + x^2e)^k (lazy: (1 + x^e)^2k) times that atom's count, packed; against a
+law of many atoms the product with that row costs more than the k steps.  The lattice walk over Z is the walk
 over Z_m for m = 2R + 1, R = Sum |v_i|: it never leaves [-R, R], so nothing
 wraps.
+
+The single steps run on one of two representations, chosen once per walk by
+the final law size m * cap (cap = the limb bytes of the final count total).
+Below _PLANE_BYTES (4 KB) they run on the packed int as above.  From there
+on, where the packed int's passes over the whole law dominate (dense
+vectors mod 1009, n >> p), they run on uint64 digit planes: the packed
+limbs, each split into 32-bit words, become the rows of an (m, K) array, and
+a step by d adds two contiguous row ranges, b[d:] = a[d:] + a[:m-d] and the
+wrapped b[:d] = a[:d] + a[m-d:].  A carry pass every 30 steps keeps every
+word below 2^63, and K at least doubles whenever the count total outgrows
+it.  A walk with no single step (a constant vector) stays packed.  Both
+representations end as the same limb bytes, so the unpacking and the offset
+are one code path.
 
 The bound side (Halasz chain) is evaluated in doubles from exact level-set
 cardinalities.  All three bounds read one weight table W(k), k in Z_p;
@@ -50,9 +63,17 @@ from .zp_core import TABLE_CELL_GUARD
 FLOAT_SLACK = 1e-12
 
 _SUMSET_P_GUARD = 10**4
-# A class of +-e at least this large joins a one-atom law by one multiplication;
+# A class of +-e at least this large joins a one-atom law as one binomial row;
 # below it per-step shifts are faster (crossover near 100 for constant vectors mod 101).
 _BLOCK = 100
+# Final law size m * cap (bytes) from which `_walk` steps on digit planes instead
+# of the packed int.  Random vectors cross over between 3.0 and 3.6 KB
+# (p = 101..2003, n = 16..256, plain and lazy).
+_PLANE_BYTES = 4096
+# Steps between carry passes on the planes: 2^33 * 2^30 < 2^63.
+_CARRY_EVERY = 30
+_DIGIT_BITS = np.uint64(32)
+_DIGIT_MASK = np.uint64(2**32 - 1)
 
 
 @dataclass(frozen=True)
@@ -85,8 +106,9 @@ class RhoResult:
 
 
 def _max_atom(dist: ExactDistribution) -> RhoResult:
-    atom = min(dist.counts, key=lambda a: (-dist.counts[a], a))
-    return RhoResult(atom, dist.counts[atom], dist.log2_denominator)
+    best = max(dist.counts.values())
+    atom = min(a for a, c in dist.counts.items() if c == best)
+    return RhoResult(atom, best, dist.log2_denominator)
 
 
 def _widen(law: int, m: int, w: int, w2: int) -> int:
@@ -95,6 +117,56 @@ def _widen(law: int, m: int, w: int, w2: int) -> int:
     for t in range(w):
         buf[t::w2] = raw[t::w]
     return int.from_bytes(buf, "little")
+
+
+def _packed_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> tuple[bytes, int]:
+    """Multiply the packed law by 1 + x^d mod x^m - 1 for each d in moves.
+
+    total is log2 of the count total so far and cap the final limb width.
+    Returns the law's m limbs as bytes, and their width.
+    """
+    full = (1 << 8 * w * m) - 1
+    for d in moves:
+        total += 1
+        if total >= 8 * w:
+            w2 = min(cap, max(2 * w, total // 8 + 1))
+            law, w, full = _widen(law, m, w, w2), w2, (1 << 8 * w2 * m) - 1
+        law += law << 8 * w * d
+        law = (law & full) + (law >> 8 * w * m)
+    return law.to_bytes(m * w, "little"), w
+
+
+def _plane_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> tuple[bytes, int]:
+    """`_packed_steps` on an (m, K) uint64 array of 32-bit digits, one row per residue.
+
+    The packed limbs, widened to K 32-bit words, are the rows; a step adds two
+    contiguous row ranges.  A step at most doubles a digit, so a carry pass
+    every _CARRY_EVERY steps, which leaves each digit below 2^32 + 2^31, keeps
+    all of them below 2^63.  K at least doubles whenever the count total
+    outgrows it, and the top digit never carries out: it is at most a count
+    (<= 2^total < 2^32K) over 2^(32 (K - 1)).
+    """
+    k = -(-w // 4)
+    raw = _widen(law, m, w, 4 * k).to_bytes(4 * k * m, "little")
+    a = np.frombuffer(raw, "<u4").reshape(m, k).astype(np.uint64)
+    b = np.empty_like(a)
+    for i, d in enumerate(moves):
+        total += 1
+        if total >= 32 * k:
+            k = min(-(-cap // 4), max(2 * k, total // 32 + 1))
+            a = np.concatenate((a, np.zeros((m, k - a.shape[1]), np.uint64)), axis=1)
+            b = np.empty_like(a)
+        if i and i % _CARRY_EVERY == 0:
+            carry = a >> _DIGIT_BITS
+            a &= _DIGIT_MASK
+            a[:, 1:] += carry[:, :-1]
+        np.add(a[d:], a[:m - d], out=b[d:])
+        np.add(a[:d], a[m - d:], out=b[:d])
+        a, b = b, a
+    for t in range(k - 1):
+        a[:, t + 1] += a[:, t] >> _DIGIT_BITS
+    a &= _DIGIT_MASK
+    return a.astype("<u4").tobytes(), 4 * k
 
 
 def _walk(entries, m: int, lazy: bool = False) -> list[int]:
@@ -106,25 +178,24 @@ def _walk(entries, m: int, lazy: bool = False) -> list[int]:
     total = steps * classes.pop(0, 0)  # log2 of the count total so far
     cap = steps * len(entries) // 8 + 1  # limb bytes for the final total
     law, offset, w = 1 << total, 0, total // 8 + 1
-    full = (1 << 8 * w * m) - 1
+    moves: list[int] = []  # the shift d of every single step, in order
     for e, k in classes.most_common():
         d, j = (e, 2 * k) if lazy else (2 * e, k)
         offset += k * e
-        for run in (j,) if k >= _BLOCK and law >> 8 * w == 0 else (1,) * j:
-            total += run
-            if total >= 8 * w:
-                w2 = min(cap, max(2 * w, total // 8 + 1))
-                law, w, full = _widen(law, m, w, w2), w2, (1 << 8 * w2 * m) - 1
-            if run == 1:
-                law += law << 8 * w * d
-            else:
-                row, c = [0] * m, 1
-                for i in range(j + 1):
-                    row[i * d % m] += c
-                    c = c * (j - i) // (i + 1)
-                law *= int.from_bytes(b"".join(r.to_bytes(w, "little") for r in row), "little")
-            law = (law & full) + (law >> 8 * w * m)
-    raw, s = law.to_bytes(m * w, "little"), offset % m
+        if k < _BLOCK or law >> 8 * w:
+            moves += [d] * j
+            continue
+        total += j
+        if total >= 8 * w:
+            w = min(cap, max(2 * w, total // 8 + 1))
+        row, c = [0] * m, law  # the one atom's count times C(j, i)
+        for i in range(j + 1):
+            row[i * d % m] += c
+            c = c * (j - i) // (i + 1)
+        law = int.from_bytes(b"".join(r.to_bytes(w, "little") for r in row), "little")
+    steps_on = _plane_steps if moves and m * cap >= _PLANE_BYTES else _packed_steps
+    raw, w = steps_on(law, m, w, total, cap, moves)
+    s = offset % m
     limbs = [int.from_bytes(raw[i:i + w], "little") for i in range(0, m * w, w)]
     return limbs[s:] + limbs[:s]
 

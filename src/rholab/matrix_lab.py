@@ -446,7 +446,11 @@ def singular_count_block(n: int, bits: np.ndarray) -> int:
         raise PreconditionViolated("n must be >= 1")
     if bits.ndim != 2 or bits.shape[1] != n * (n + 1) // 2:
         raise PreconditionViolated("bits must have shape [B, n(n+1)/2]")
-    if not ((bits == 0) | (bits == 1)).all():
+    if bits.dtype.kind in "biu":  # bool and integers: two reductions, no temporaries
+        in_range = bits.size == 0 or (bits.min() >= 0 and bits.max() <= 1)
+    else:  # a float such as 0.5 lies between 0 and 1
+        in_range = ((bits == 0) | (bits == 1)).all()
+    if not in_range:
         raise PreconditionViolated("bits must be 0 or 1")
     pos = _packed_positions(n)
     return sum(
@@ -480,8 +484,13 @@ def _trial_blocks(n: int, trials: int) -> list[int]:
 def _mc_block_task(args) -> int:
     n, master_seed, block_idx, block_size = args
     g = substream(master_seed, f"singularity-mc:n={n}", block_idx)
-    bits = g.integers(0, 2, size=(block_size, n * (n + 1) // 2), dtype=np.int64)
-    return singular_count_block(n, bits)
+    # Successive int64 draws continue one stream, so these chunks are the rows
+    # of one (block_size, n(n+1)/2) draw; only one chunk is held at a time.
+    count = 0
+    for start in range(0, block_size, _SUB_BATCH):
+        rows = min(_SUB_BATCH, block_size - start)
+        count += singular_count_block(n, g.integers(0, 2, size=(rows, n * (n + 1) // 2), dtype=np.int64))
+    return count
 
 
 def singularity_mc_sharded(

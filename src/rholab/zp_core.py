@@ -158,7 +158,9 @@ def weight_table(v: ZpVector, p: PrimeModulus) -> np.ndarray:
     """W[k] = sum_i min(k*v_i mod p, p - ...)^2 for every k in Z_p.
 
     Equal entries share a column: W[k] = sum_e mult(e) * w(k*e) over the
-    distinct entries e, so a constant vector costs one column, not n.
+    distinct entries e, so a constant vector costs one column, not n.  The
+    table is symmetric, W[p - k] = W[k] because ||-x|| = ||x||, so only the
+    rows k = 0..p//2 are computed and the rest are their mirror image.
     Exact in int64: under the table guard k * e < p^2 <= 10^14, and since
     mult(e) <= n the sum is at most n * (p/2)^2 <= p n * p / 4 <= 2.5 * 10^13,
     far below 2^63.
@@ -167,10 +169,11 @@ def weight_table(v: ZpVector, p: PrimeModulus) -> np.ndarray:
     if len(v) == 0:
         return np.zeros(p.p, dtype=np.int64)
     vals, mult = np.unique(v.as_array(), return_counts=True)
-    ks = np.arange(p.p, dtype=np.int64)
+    ks = np.arange(p.p // 2 + 1, dtype=np.int64)
     r = ks[:, None] * vals[None, :] % p.p
     w = np.minimum(r, p.p - r)
-    return (w * w) @ mult
+    half = (w * w) @ mult
+    return np.concatenate((half, half[:0:-1]))
 
 
 def level_mask(weights, t, p: PrimeModulus) -> np.ndarray:

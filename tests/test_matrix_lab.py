@@ -476,11 +476,41 @@ def test_float_stage_takes_thirteen_exact_steps(monkeypatch):
         (3, np.array([[1, 0, 2, 1, 0, 1]])),
         (3, np.array([[1, 0, -1, 1, 0, 1]])),
         (3, np.array([[1, 0, 0.5, 1, 0, 1]])),
+        (3, np.array([[1, 0, 2, 1, 0, 1]], dtype=np.int8)),
+        (3, np.array([[1, 0, -1, 1, 0, 1]], dtype=np.int8)),
+        (3, np.array([[1, 0, 255, 1, 0, 1]], dtype=np.uint8)),
     ],
 )
 def test_singular_count_block_rejects_what_it_cannot_count(n, bits):
     with pytest.raises(PreconditionViolated):
         ml.singular_count_block(n, bits)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, bool, np.float64])
+def test_singular_count_block_takes_bits_of_any_dtype(dtype):
+    bits = _planted_bits(5, 60)
+    assert ml.singular_count_block(5, bits.astype(dtype)) == ml.singular_count_block(5, bits)
+    assert ml.singular_count_block(5, bits[:0].astype(dtype)) == 0
+
+
+@pytest.mark.parametrize("n", [12, 20, 40])
+def test_monte_carlo_chunks_continue_one_stream(n):
+    # _mc_block_task draws its block in _SUB_BATCH-row int64 chunks; numpy's
+    # int64 draws continue the stream, so the chunks are the one-shot rows
+    size, m = 2 * ml._SUB_BATCH + 5, n * (n + 1) // 2
+    whole = substream(54, "chunks", n).integers(0, 2, size=(size, m), dtype=np.int64)
+    g = substream(54, "chunks", n)
+    chunks = [g.integers(0, 2, size=(min(ml._SUB_BATCH, size - s), m), dtype=np.int64)
+              for s in range(0, size, ml._SUB_BATCH)]
+    assert np.array_equal(np.vstack(chunks), whole)
+
+
+def test_monte_carlo_block_counts_the_one_shot_draw():
+    n, size = 6, 2 * ml._SUB_BATCH + 5
+    g = substream(55, f"singularity-mc:n={n}", 3)
+    want = ml.singular_count_block(n, g.integers(0, 2, size=(size, n * (n + 1) // 2), dtype=np.int64))
+    assert want > 0
+    assert ml._mc_block_task((n, 55, 3, size)) == want
 
 
 def test_wilson_interval():

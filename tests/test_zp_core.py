@@ -127,7 +127,8 @@ def test_weight_table_matches_full_product(case):
     ks = np.arange(p.p, dtype=np.int64)
     r = ks[:, None] * np.asarray(v.entries, dtype=np.int64)[None, :] % p.p
     full = (np.minimum(r, p.p - r) ** 2).sum(axis=1)
-    assert weight_table(v, p).tolist() == full.tolist()
+    table = weight_table(v, p)
+    assert table.dtype == np.int64 and table.tolist() == full.tolist()
 
 
 def test_table_size_guard():
