@@ -21,7 +21,8 @@ factors add up to one offset applied on unpacking.  A lazy step,
 x^e + 2 + x^-e = x^-e (1 + x^e)^2, is two steps by x^e.  Classes of equal
 +-e are taken largest first.  While the law is still one atom, a class of
 k >= _BLOCK entries joins in one go: the law becomes the binomial row of
-(1 + x^2e)^k (lazy: (1 + x^e)^2k) times that atom's count, packed; against a
+(1 + x^2e)^k (lazy: (1 + x^e)^2k) times that atom's count, packed, with each
+C(j, i) = C(j, j - i) computed once for both ends of the row; against a
 law of many atoms the product with that row costs more than the k steps.  The lattice walk over Z is the walk
 over Z_m for m = 2R + 1, R = Sum |v_i|: it never leaves [-R, R], so nothing
 wraps.
@@ -170,11 +171,17 @@ def _plane_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> tuple
 
 
 def _walk(entries, m: int, lazy: bool = False) -> list[int]:
-    """Atom counts of the (lazy) signed-sum walk over Z_m, indexed by residue."""
+    """Atom counts of the (lazy) signed-sum walk over Z_m, indexed by residue.
+
+    Equal entries are counted first, and each distinct entry is reduced mod m
+    and folded to its class +-e once, so any int entry (negative, or not
+    reduced) steps as its residue.
+    """
     steps = 2 if lazy else 1
-    classes: Counter[int] = Counter()  # e -> number of entries +-e; min() once per residue
-    for r, k in Counter(e % m for e in entries).items():
-        classes[min(r, m - r)] = classes.get(min(r, m - r), 0) + k
+    classes: Counter[int] = Counter()  # e -> number of entries +-e
+    for e, k in Counter(entries).items():
+        r = e % m
+        classes[min(r, m - r)] += k
     total = steps * classes.pop(0, 0)  # log2 of the count total so far
     cap = steps * len(entries) // 8 + 1  # limb bytes for the final total
     law, offset, w = 1 << total, 0, total // 8 + 1
@@ -188,9 +195,11 @@ def _walk(entries, m: int, lazy: bool = False) -> list[int]:
         total += j
         if total >= 8 * w:
             w = min(cap, max(2 * w, total // 8 + 1))
-        row, c = [0] * m, law  # the one atom's count times C(j, i)
-        for i in range(j + 1):
+        row, c = [0] * m, law  # the one atom's count times C(j, i) = C(j, j - i)
+        for i in range(j // 2 + 1):
             row[i * d % m] += c
+            if 2 * i < j:
+                row[(j - i) * d % m] += c
             c = c * (j - i) // (i + 1)
         law = int.from_bytes(b"".join(r.to_bytes(w, "little") for r in row), "little")
     steps_on = _plane_steps if moves and m * cap >= _PLANE_BYTES else _packed_steps

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .anticoncentration import rho
 from .containers import ContainerSet, container
 from .errors import PreconditionViolated, RetryExhausted
 from .harness import canonical_json
@@ -68,13 +69,13 @@ def run_fibre(
 
     Requires rho(v) above the profile floor; a vector whose support is
     already below the termination threshold yields the empty trace with
-    kStar = 0.  RetryExhausted from a step is re-raised with the step index
-    attached.
+    kStar = 0.  Each step's floor check reuses a rho it already has: rho(v)
+    at step 1, and rho(v_{Y_k}) from step k's certificate when Z_{k+1} = Y_k.
+    RetryExhausted from a step is re-raised with the step index attached.
     """
     v.validate(p)
-    from .anticoncentration import rho
-
-    if rho(v, p).value < profile.rho_floor(p):
+    rho_live = rho(v, p)  # rho of the live restriction, when it is known
+    if rho_live.value < profile.rho_floor(p):
         raise PreconditionViolated(
             f"rho(v) below the profile floor {profile.rho_floor(p)}"
         )
@@ -94,7 +95,7 @@ def run_fibre(
                 terminal_support=vz.support_size,
             )
         try:
-            cert = build_container(vz, p, profile, rng)
+            cert = build_container(vz, p, profile, rng, rho_v=rho_live)
         except RetryExhausted as exc:
             raise RetryExhausted(f"step {len(steps) + 1}: {exc}") from exc
         except PreconditionViolated as exc:
@@ -105,6 +106,8 @@ def run_fibre(
         )
         steps.append(FibreStep(x=x, y=y, b=cert.b, z=live))
         live = live - x
+        # v restricted to Y_k is the next live vector when X_k is all of Z_k \ Y_k
+        rho_live = cert.rho_vy if live == y else None
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,8 @@ def _canonize(obj):
     if isinstance(obj, float):
         return repr(obj)
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= {int}:  # plain ints only; bool is its own type
+            return list(map(str, obj))
         return [_canonize(x) for x in obj]
     if isinstance(obj, (set, frozenset)):
         return [_canonize(x) for x in sorted(obj)]

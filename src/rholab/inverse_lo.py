@@ -17,15 +17,21 @@ passed in (the fibre iteration passes restrictions, whose ambient length is
 the live index set).
 
 B, rho(v_Y) and the measured quantities are functions of (v, Y, U) alone, and
-_certificate is the one place that derives them.  build_container returns a
-certificate only after verify_certificate re-derives it from (v, Y, U) with
-exact arithmetic and re-tests every property: zero trust in the construction
-path.
+_certificate is the one place that derives them; B and outsideCount come
+from one helper, _contained, which both the construction and the verifier
+use.  The construction may discard an attempt on its B alone: when more than
+n/4 entries of v fall outside B the verifier would reject it, so the attempt
+is dropped before rho(v_Y) is walked (Y and U are drawn by then, so the
+random stream is the same).  Only the verifier accepts: build_container
+returns a certificate only after verify_certificate re-derives it from
+(v, Y, U) with exact arithmetic and re-tests every property, with zero trust
+in the construction path.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -236,15 +242,22 @@ def _size_bound_holds(
     return lhs <= rhs
 
 
-def _certificate(v: ZpVector, p: PrimeModulus, y, u) -> ContainerCertificate:
-    """The certificate (Y, U) fixes: B = C(F(v_U)), rho(v_Y) and the six
-    measured quantities, all derived from v."""
+def _contained(v: ZpVector, p: PrimeModulus, u) -> tuple[ContainerSet, int]:
+    """B = C(F(v_U)) and outsideCount, the number of entries of v outside B."""
     b = container(frequency_set(v.restrict(u), p), p)
+    return b, sum(k for e, k in Counter(v.entries).items() if e not in b.members)
+
+
+def _certificate(v: ZpVector, p: PrimeModulus, y, u, contained=None) -> ContainerCertificate:
+    """The certificate (Y, U) fixes: B = C(F(v_U)), rho(v_Y) and the six
+    measured quantities, all derived from v.  contained is _contained(v, p, u)
+    when the caller has it already."""
+    b, outside = contained or _contained(v, p, u)
     rho_vy = rho(v.restrict(y), p)
     measured = {
         "sizeY": len(y),
         "supportVY": len(v.support & y),
-        "outsideCount": sum(1 for e in v.entries if e not in b.members),
+        "outsideCount": outside,
         "sizeB": b.size,
         "rhoVY": rho_vy.value,
         "supportV": v.support_size,
@@ -259,34 +272,47 @@ def build_container(
     p: PrimeModulus,
     profile: ConstantsProfile,
     rng: np.random.Generator,
+    *,
+    rho_v: RhoResult | None = None,
 ) -> ContainerCertificate:
     """Run the full construction and return a verified certificate.
 
     Preconditions: rho(v) >= rho_floor_coeff / p and |v| >= support floor.
+    rho_v, if given, must be rho(v, p) (a caller that has it already saves
+    the floor check's walk); it is tested against the floor all the same.
     The level sets of v are decided once; each attempt redraws Y and U from
-    scratch, and a certificate is returned only after verify_certificate
-    passes on it.
+    scratch.  An attempt whose B leaves more than n/4 entries of v outside
+    is discarded before rho(v_Y) is walked, since the verifier would reject
+    it on that count alone; a certificate is returned only after
+    verify_certificate passes on it.  On exhaustion the verifier's failure
+    list of the last attempt is reported (derived at exhaustion if that
+    attempt was discarded).
     """
     v.validate(p)
     if v.support_size < profile.support_floor(p):
         raise PreconditionViolated(
             f"support {v.support_size} below floor {profile.support_floor(p):.1f}"
         )
-    rv = rho(v, p)
+    rv = rho(v, p) if rho_v is None else rho_v
     if rv.value < profile.rho_floor(p):
         raise PreconditionViolated(
             f"rho(v) = {rv.value} below floor {profile.rho_floor(p)}"
         )
     levels = _levels(v, p, profile)
-    last = None
+    last = None  # the verifier's failures, or (Y, U, B and outsideCount) if discarded
     for _ in range(profile.max_attempts):
         y = sample_Y_with_attempts(v, p, profile, levels, rng)[0]
         u = sample_U_with_attempts(v, p, profile, levels, rng)[0]
-        cert = _certificate(v, p, y, u)
-        ok, failures = verify_certificate(v, p, profile, cert)
+        contained = _contained(v, p, u)
+        if 4 * contained[1] > len(v):
+            last = (y, u, contained)
+            continue
+        cert = _certificate(v, p, y, u, contained)
+        ok, last = verify_certificate(v, p, profile, cert)
         if ok:
             return cert
-        last = failures
+    if isinstance(last, tuple):
+        last = verify_certificate(v, p, profile, _certificate(v, p, *last))[1]
     raise RetryExhausted(
         f"certificate invariants kept failing after {profile.max_attempts} attempts; "
         f"last failures: {last}"

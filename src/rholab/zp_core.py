@@ -22,8 +22,10 @@ check_table_size raises GuardExceeded instead of exhausting memory.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -119,7 +121,7 @@ class ZpVector:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "support", frozenset(i for i, e in enumerate(self.entries) if e)
+            self, "support", frozenset(compress(range(len(self.entries)), self.entries))
         )
 
     @property
@@ -137,13 +139,10 @@ class ZpVector:
 
     def restrict(self, indices) -> "ZpVector":
         """Subvector on the given index set, in increasing index order."""
-        return ZpVector(tuple(self.entries[i] for i in sorted(indices)))
+        return ZpVector(tuple(map(self.entries.__getitem__, sorted(indices))))
 
     def concat(self, other: "ZpVector") -> "ZpVector":
         return ZpVector(self.entries + other.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=np.int64)
 
 
 def check_table_size(n: int, p: PrimeModulus) -> None:
@@ -155,24 +154,29 @@ def check_table_size(n: int, p: PrimeModulus) -> None:
 
 
 def weight_table(v: ZpVector, p: PrimeModulus) -> np.ndarray:
-    """W[k] = sum_i min(k*v_i mod p, p - ...)^2 for every k in Z_p.
+    """W[k] = sum_i min(k*v_i mod p, p - ...)^2 for every k in Z_p, as int64.
 
     Equal entries share a column: W[k] = sum_e mult(e) * w(k*e) over the
-    distinct entries e, so a constant vector costs one column, not n.  The
+    distinct entries e, so a constant vector costs one column, not n.  Each
+    distinct entry is reduced mod p in Python ints before any array product,
+    so any int entry (negative, or past 2^63) weighs as its residue.  The
     table is symmetric, W[p - k] = W[k] because ||-x|| = ||x||, so only the
-    rows k = 0..p//2 are computed and the rest are their mirror image.
-    Exact in int64: under the table guard k * e < p^2 <= 10^14, and since
-    mult(e) <= n the sum is at most n * (p/2)^2 <= p n * p / 4 <= 2.5 * 10^13,
-    far below 2^63.
+    rows k = 0..p//2 are computed and the rest are their mirror image.  The
+    residues k*e mod p and their weights are computed in place, in int32
+    when (p//2)(p - 1) < 2^31 bounds k*e and in int64 otherwise.  The sum
+    over the columns is int64 and exact: under the table guard it is at most
+    n * (p/2)^2 <= p n * p / 4 <= 2.5 * 10^13, far below 2^63.
     """
     check_table_size(len(v), p)
-    if len(v) == 0:
-        return np.zeros(p.p, dtype=np.int64)
-    vals, mult = np.unique(v.as_array(), return_counts=True)
-    ks = np.arange(p.p // 2 + 1, dtype=np.int64)
-    r = ks[:, None] * vals[None, :] % p.p
-    w = np.minimum(r, p.p - r)
-    half = (w * w) @ mult
+    q = p.p
+    classes = Counter(v.entries)
+    dtype = np.int32 if (q // 2) * (q - 1) < 2**31 else np.int64
+    residues = np.array([e % q for e in classes], dtype)
+    r = np.multiply.outer(np.arange(q // 2 + 1, dtype=dtype), residues)
+    r %= q
+    np.minimum(r, q - r, out=r)
+    r *= r
+    half = r @ np.fromiter(classes.values(), np.int64, len(classes))
     return np.concatenate((half, half[:0:-1]))
 
 

@@ -118,6 +118,28 @@ def test_walks_edge_cases(entries):
     assert ac.distribution_int(small).counts == _lattice_reference(small)
 
 
+@pytest.mark.parametrize("j", [99, 100, 101, 1024])
+def test_one_class_join_against_the_list_dp(j):
+    """j equal entries alone: single steps below _BLOCK, one binomial row from
+    it on, whose two ends C(j, i) = C(j, j - i) share one coefficient (odd and
+    even rows, and a row that wraps mod m)."""
+    for m, e in ((101, 7), (101, 50), (5, 2)):
+        for lazy in (False, True):
+            got = {a: c for a, c in enumerate(ac._walk((e,) * j, m, lazy)) if c}
+            assert got == _dp_reference((e,) * j, m, lazy)
+
+
+def test_walks_reduce_negative_and_unreduced_entries():
+    entries = (2**62 + 7, -3, 2**64 + 5, -(2**70) + 1, 5, 0) + (-96,) * 120
+    reduced = tuple(e % 101 for e in entries)
+    for law in (ac.distribution_zp, ac.distribution_half):
+        assert law(ZpVector(entries), P101) == law(ZpVector(reduced), P101)
+    assert ac.distribution_zp(ZpVector(entries), P101).counts == _dp_reference(reduced, 101)
+    lattice = [-3, 4, -3, 0, 7] + [-2] * 110
+    assert ac.distribution_int(lattice).counts == _lattice_reference(lattice)
+    assert ac.rho_int(lattice) == ac.rho_int([abs(e) for e in lattice])
+
+
 @pytest.fixture
 def plane_moves(monkeypatch):
     """The number of steps of each walk that ran on digit planes."""

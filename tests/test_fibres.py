@@ -122,3 +122,27 @@ def test_distinct_fibres_below_bound():
         prints.add(trace_fingerprint(run_fibre(v, p31, DESK_PROFILE, g)))
     bound = fibre_count_bound(128, p31, DESK_PROFILE)
     assert math.log(len(prints)) <= bound["log_bound"]
+
+
+def test_run_fibre_hands_each_step_the_rho_it_has(monkeypatch):
+    # step 1 gets rho(v); a later step gets rho(v_{Y_k}) from the previous
+    # certificate exactly when Z_{k+1} = Y_k, and computes its own otherwise
+    import rholab.fibres as fibres
+    from rholab.anticoncentration import rho
+
+    handed, build = [], fibres.build_container
+
+    def recording_build(vz, p, profile, rng, *, rho_v=None):
+        handed.append(rho_v is not None)
+        assert rho_v is None or rho_v == rho(vz, p)
+        return build(vz, p, profile, rng, rho_v=rho_v)
+
+    monkeypatch.setattr(fibres, "build_container", recording_build)
+    for v in (ZpVector((17,) * 1024), ZpVector((17,) * 1000 + (50,) * 24)):
+        del handed[:]
+        trace = run_fibre(v, P101, DESK_PROFILE, substream(43, "handed", 0))
+        assert audit_trace(v, trace, DESK_PROFILE).ok
+        assert handed[0] and len(handed) == trace.k_star
+        for k, step in enumerate(trace.steps[:-1]):
+            assert handed[k + 1] == (trace.steps[k + 1].z == step.y)
+    assert not all(handed)  # the second vector keeps entries outside Y_k

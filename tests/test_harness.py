@@ -1,10 +1,12 @@
 import os
 import stat
+from fractions import Fraction
 
 import pytest
 
 from rholab.errors import EntryRangeError, VectorParseError
 from rholab.harness import (
+    canonical_json,
     load_vectors,
     parse_vector_line,
     write_csv,
@@ -145,3 +147,22 @@ def test_writers_stream_to_a_pipe_or_fifo(tmp_path, kind, target):
 @pytest.mark.parametrize("kind", WRITERS)
 def test_writers_accept_devnull(kind):
     assert WRITERS[kind](os.devnull)
+
+
+def test_canonical_json_bytes_of_mixed_lists():
+    # a list of plain ints is stringified in one pass; bools, tuples, nested
+    # lists and Fractions keep their element-by-element bytes
+    doc = {
+        "bools": [True, 1, False, 0],
+        "tuple": (3, -4, 2**70),
+        "nested": [[1, 2], [3, [True, 4]], []],
+        "fractions": [Fraction(1, 3), 2, Fraction(-5, 2)],
+        "mixed": [1, "a", None, 2.5],
+        "set": frozenset({3, 1}),
+    }
+    assert canonical_json(doc) == (
+        '{"bools":[true,"1",false,"0"],"fractions":["1/3","2","-5/2"],'
+        '"mixed":["1","a",null,"2.5"],"nested":[["1","2"],["3",[true,"4"]],[]],'
+        '"set":["1","3"],"tuple":["3","-4","1180591620717411303424"]}'
+    )
+    assert canonical_json([True, 1]) == '[true,"1"]'

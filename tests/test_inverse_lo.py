@@ -1,13 +1,17 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from rholab.anticoncentration import RhoResult, rho
 from rholab.containers import container, frequency_set
-from rholab.errors import PreconditionViolated
+from rholab.errors import PreconditionViolated, RetryExhausted
+from rholab.fibres import FibreStep, FibreTrace, run_fibre, support_threshold
 from rholab.inverse_lo import (
     DESK_PROFILE,
     PAPER_PROFILE,
+    _certificate,
     _levels,
     build_container,
     canonical_json,
@@ -279,3 +283,139 @@ def test_certificate_serialization_deterministic():
 def test_canonical_json_sorts_and_stringifies():
     doc = {"b": 2, "a": {"z": [3, 1], "frac": Fraction(1, 3)}}
     assert canonical_json(doc) == '{"a":{"frac":"1/3","z":["3","1"]},"b":"2"}'
+
+
+# Reference copies of the certificate loop and the fibre loop as they were
+# before attempts were discarded on their container: every attempt walks
+# rho(v_Y) and goes through the verifier, and every step checks rho of its
+# live vector afresh.
+
+
+def _reference_build_container(v, p, profile, rng):
+    v.validate(p)
+    if v.support_size < profile.support_floor(p):
+        raise PreconditionViolated(
+            f"support {v.support_size} below floor {profile.support_floor(p):.1f}"
+        )
+    rv = rho(v, p)
+    if rv.value < profile.rho_floor(p):
+        raise PreconditionViolated(f"rho(v) = {rv.value} below floor {profile.rho_floor(p)}")
+    levels = _levels(v, p, profile)
+    last = None
+    for _ in range(profile.max_attempts):
+        y = sample_Y_with_attempts(v, p, profile, levels, rng)[0]
+        u = sample_U_with_attempts(v, p, profile, levels, rng)[0]
+        cert = _certificate(v, p, y, u)
+        ok, failures = verify_certificate(v, p, profile, cert)
+        if ok:
+            return cert
+        last = failures
+    raise RetryExhausted(
+        f"certificate invariants kept failing after {profile.max_attempts} attempts; "
+        f"last failures: {last}"
+    )
+
+
+def _reference_run_fibre(v, p, profile, rng):
+    v.validate(p)
+    if rho(v, p).value < profile.rho_floor(p):
+        raise PreconditionViolated(f"rho(v) below the profile floor {profile.rho_floor(p)}")
+    n = len(v)
+    threshold = support_threshold(n, profile)
+    steps = []
+    live = frozenset(range(n))
+    while True:
+        order = sorted(live)
+        vz = v.restrict(live)
+        if vz.support_size < threshold:
+            return FibreTrace(n=n, p=p.p, steps=tuple(steps), k_star=len(steps),
+                              terminal_support=vz.support_size)
+        try:
+            cert = _reference_build_container(vz, p, profile, rng)
+        except RetryExhausted as exc:
+            raise RetryExhausted(f"step {len(steps) + 1}: {exc}") from exc
+        y = frozenset(order[j] for j in cert.y)
+        x = frozenset(i for i in live - y if v.entries[i] in cert.b.members)
+        steps.append(FibreStep(x=x, y=y, b=cert.b, z=live))
+        live = live - x
+
+
+def _state(g):
+    """The bit generator's full state, arrays included, as comparable text."""
+    return json.dumps(g.bit_generator.state, sort_keys=True, default=lambda a: a.tolist())
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the RetryExhausted it raised."""
+    try:
+        return fn(*args)
+    except RetryExhausted as exc:
+        return str(exc)
+
+
+_PAIRS = ((build_container, _reference_build_container), (run_fibre, _reference_run_fibre))
+
+
+def _assert_matches_reference(v, label, i, pairs=_PAIRS):
+    """Each function gives what its reference loop gives, and leaves the
+    generator where the reference leaves it."""
+    for ours, reference in pairs:
+        g, g_ref = substream(36, label, i), substream(36, label, i)
+        assert _outcome(ours, v, P101, DESK_PROFILE, g) == _outcome(
+            reference, v, P101, DESK_PROFILE, g_ref)
+        assert _state(g) == _state(g_ref)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_build_container_and_run_fibre_match_the_reference_loop(n, monkeypatch):
+    rejected, verify = [], verify_certificate
+
+    def counting_verify(*args):
+        ok, failures = verify(*args)
+        rejected.append(not ok)
+        return ok, failures
+
+    monkeypatch.setitem(globals(), "verify_certificate", counting_verify)  # the reference's
+    for i in range(50):
+        c = int(substream(36, "reference", i).integers(1, 101))
+        _assert_matches_reference(constant_vector(c, n), "reference", i)
+    assert any(rejected)  # some attempts failed, and ours discarded them
+
+
+@pytest.mark.parametrize("x", [34, 67])
+def test_an_attempt_with_exactly_a_quarter_outside_is_kept(x):
+    # the x entries fall outside B, n/4 of them, which the verifier accepts
+    v = ZpVector((17,) * 384 + (x,) * 128)
+    for i in range(8):
+        _assert_matches_reference(v, "quarter", i, _PAIRS[:1])
+    cert = build_container(v, P101, DESK_PROFILE, substream(36, "quarter", 0))
+    assert 4 * cert.measured["outsideCount"] == len(v)
+
+
+@pytest.mark.parametrize("max_attempts", [1, 2, 3])
+def test_retry_exhausted_reports_the_reference_failures(max_attempts):
+    # at the desk constants every failed attempt fails on outsideCount alone, so
+    # the last one was discarded before the verifier saw it; with size_const 1
+    # every attempt fails the size bound, and only some are discarded first
+    discarded = verified = 0
+    for size_const in (DESK_PROFILE.size_const, 1):
+        profile = replace(DESK_PROFILE, size_const=size_const, max_attempts=max_attempts)
+        for i in range(12):
+            v = constant_vector(17, 512)
+            got = _outcome(build_container, v, P101, profile, substream(37, "exhaust", i))
+            want = _outcome(_reference_build_container, v, P101, profile,
+                            substream(37, "exhaust", i))
+            assert got == want
+            if isinstance(got, str):
+                if "outsideCount exceeds n/4" in got:
+                    discarded += 1
+                else:
+                    verified += 1
+    assert discarded and verified
+
+
+def test_build_container_rejects_a_handed_rho_below_the_floor():
+    v = constant_vector(17, 512)
+    low = RhoResult(atom=0, count=1, log2_denominator=10)
+    with pytest.raises(PreconditionViolated, match=r"rho\(v\) = 1/1024 below floor 2/101"):
+        build_container(v, P101, DESK_PROFILE, substream(33, "build", 0), rho_v=low)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rholab.containers import level_set
 from rholab.errors import GuardExceeded, PreconditionViolated
 from rholab.zp_core import (
     TABLE_CELL_GUARD,
@@ -100,6 +101,36 @@ def test_zp_vector_support_and_restrict():
     assert len(v.concat(v)) == 10
     with pytest.raises(PreconditionViolated):
         v.validate(PrimeModulus(2**31 - 1)) and ZpVector((5,)).validate(PrimeModulus(5))
+
+
+def test_restrict_empty_and_single_index():
+    v = ZpVector((0, 3, 0, 2, 1))
+    assert v.restrict(set()) == ZpVector(()) and v.restrict(set()).support == frozenset()
+    assert v.restrict({3}).entries == (2,) and v.restrict({3}).support == frozenset({0})
+    assert v.restrict(frozenset({2})).support_size == 0
+
+
+def test_weight_table_reduces_entries_before_any_product():
+    # 2^62 + 7 wrapped int64 in k * e, and 2^64 + 5 did not fit in int64 at all
+    p = PrimeModulus(101)
+    for entries in [(2**62 + 7,), (-3,), (2**64 + 5,), (2**62 + 7, -3, 2**64 + 5, 5, 0)]:
+        reduced = ZpVector(tuple(e % p.p for e in entries))
+        assert weight_table(ZpVector(entries), p).tolist() == weight_table(reduced, p).tolist()
+    big = ZpVector((2**62 + 7,) * 8)
+    assert level_set(big, 1, p) == level_set(ZpVector(((2**62 + 7) % p.p,) * 8), 1, p)
+
+
+@pytest.mark.parametrize("p", [65521, 65537])
+def test_weight_table_on_each_side_of_the_int32_bound(p):
+    # 65521 is the largest prime with (p//2)(p - 1) < 2^31, which is when the
+    # residues k * e fit int32; 65537 is the next prime, computed in int64
+    assert ((p // 2) * (p - 1) < 2**31) == (p == 65521)
+    assert next_prime(65522).p == 65537
+    entries = (p - 1, p - 2, p // 2, p // 2 + 1, 1, 2, 3 * p + 7, -5)
+    table = weight_table(ZpVector(entries), PrimeModulus(p))
+    ks = np.arange(p, dtype=object)  # Python ints: exact reference sums
+    want = sum(np.minimum(ks * e % p, p - ks * e % p) ** 2 for e in entries)
+    assert table.dtype == np.int64 and table.tolist() == want.tolist()
 
 
 def test_weight_table_matches_scalar():
