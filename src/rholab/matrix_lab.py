@@ -21,15 +21,14 @@ cross-check of Bareiss, not part of the count.
 Number formats: per-matrix work (determinants, ranks, RREF, inverses,
 adjugates, identity checks) reads every entry with int() into Python ints,
 held in numpy object arrays where a matmul reads better; it is exact for
-every prime PrimeModulus accepts and needs no guard.  The batched kernels
-(batch_rank_mod_p, odlyzko_check's sign-vector reduction, _solution_counts)
-work in int64 and raise GuardExceeded before a value could reach 2^63;
-batch_rank_mod_p works in float64 instead for p < 2^26, keeping every
-value an integer below 2^53.  The float64 elimination holds integers below
-2^53 by the bound above, which rests on +-1 entries: singular_count_block
-rejects bits outside {0, 1}.  _exact_matmul multiplies integer arrays in
-float64 and is exact because it raises GuardExceeded unless
-inner_dim * max|a| * max|b| is below 2^53.
+every prime PrimeModulus accepts and needs no guard.  A plain-int modulus
+must be prime (PreconditionViolated otherwise).  batch_rank_mod_p works in
+float64 only, for primes below 2^26 (GuardExceeded otherwise), keeping
+every value an integer below 2^53.  odlyzko_check's sign-vector reduction
+and _solution_counts work in int64 and raise GuardExceeded before a value
+could reach 2^63.  The float64 elimination holds integers below 2^53 by
+the bound above, which rests on +-1 entries: singular_count_block rejects
+bits outside {0, 1}.
 """
 
 from __future__ import annotations
@@ -200,19 +199,30 @@ def det_exact(mat) -> int:
     return x
 
 
+def _prime(p: PrimeModulus | int) -> int:
+    """The modulus as an int; a plain int, 2 and 3 included, must be prime."""
+    if isinstance(p, PrimeModulus):
+        return p.p
+    if not is_prime_u64(int(p)):
+        raise PreconditionViolated(f"modulus {p} is not prime")
+    return int(p)
+
+
 def rank_mod_p(mat, p: PrimeModulus | int) -> int:
     """Row-echelon rank over F_p by elimination with division."""
-    return len(_rref(_residues(mat, int(p)), int(p))[0])
+    p = _prime(p)
+    return len(_rref(_residues(mat, p), p)[0])
 
 
 def rref_mod_p(mat, p: PrimeModulus | int) -> tuple[list[list[int]], list[int]]:
     """Reduced row-echelon form and pivot columns."""
-    a = _residues(mat, int(p))
-    return a, _rref(a, int(p))[0]
+    p = _prime(p)
+    a = _residues(mat, p)
+    return a, _rref(a, p)[0]
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels for Monte Carlo work: guarded int64 and exact float64.
+# Batched kernels for Monte Carlo work: exact float64.
 # ---------------------------------------------------------------------------
 
 
@@ -228,24 +238,6 @@ def _bits_to_sym(bits: np.ndarray, n: int) -> np.ndarray:
     """[B, n(n+1)/2] in {0,1} -> [B, n, n] symmetric +-1 matrices, gathered
     through the packed position of each entry."""
     return np.take(np.asarray(bits, dtype=np.int64) * 2 - 1, _packed_positions(n), axis=1)
-
-
-def _exact_matmul(a, b, a_bound: int, b_bound: int) -> np.ndarray:
-    """a @ b as int64, for integer-valued a, b with |a| <= a_bound and
-    |b| <= b_bound entrywise (the caller's a-priori bounds).
-
-    Every product and every partial sum is an integer of magnitude at most
-    inner_dim * a_bound * b_bound, so while that is below 2^53 the float64
-    matmul (BLAS, any summation order) is exact integer arithmetic
-    (GuardExceeded otherwise).  Nothing in the package calls it: it is kept,
-    with its tests, for the exact count by bordering (ROADMAP open item 1),
-    which multiplies adjugates by sign vectors.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1] * int(a_bound) * int(b_bound) >= 2**53:
-        raise GuardExceeded("exact float64 products need inner_dim * max|a| * max|b| < 2^53")
-    return (a @ b).astype(np.int64)
 
 
 def _float_bareiss(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,15 +286,11 @@ def _float_bareiss(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place: int64 to [0, p); float64, by subtracting p times the
-    integer nearest to x/p as rounded, to |x| <= p/2 + 2, exactly while
-    |x| < 2^53."""
-    if x.dtype == np.int64:
-        x %= p
-    else:
-        q = np.rint(x * (1.0 / p))
-        q *= p
-        x -= q
+    """Float64 x mod p in place, by subtracting p times the integer nearest
+    to x/p as rounded, to |x| <= p/2 + 2, exactly while |x| < 2^53."""
+    q = np.rint(x * (1.0 / p))
+    q *= p
+    x -= q
     return x
 
 
@@ -331,29 +319,27 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     are reduced first, and the first row and column are dropped.  A matrix
     whose trailing block is zero has its rank and leaves the batch.
 
-    For p < 2^26 the entries are float64 and a reduced residue is at most
-    p/2 + 2, so each product l_i a_0j is below 2^51; otherwise int64 with
-    residues in [0, p) and products below (p - 1)^2 < 2^63 (GuardExceeded
-    past that).  The trailing block is reduced only when one more step
-    could take an entry past 2^53 (float64) or 2^63 (int64), so every value
-    is an exact integer.
+    The entries are float64 and the prime p is below 2^26 (GuardExceeded
+    otherwise), so a reduced residue is at most p/2 + 2 and each product
+    l_i a_0j is below 2^51.  The trailing block is reduced only when one
+    more step could take an entry past 2^53, so every value is an exact
+    integer.
     """
-    if (p - 1) ** 2 >= 2**63:
-        raise GuardExceeded("batch_rank_mod_p needs (p - 1)^2 < 2^63 for int64 products")
+    p = _prime(p)
+    if p >= 2**26:
+        raise GuardExceeded("batch_rank_mod_p runs in float64 and needs p < 2^26")
     # rank_mod_p accepts entries past int64: keep a nested list's big ints
     # exact as objects (np.asarray would make them float64), and reduce
     # object or uint64 entries before the int64 cast overflows or wraps them.
     a = np.asarray(mats, dtype=None if isinstance(mats, np.ndarray) else object)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise PreconditionViolated("mats must have shape (B, n, n)")
     if a.dtype in (object, np.uint64):
         a = a % p
     a = np.asarray(a, dtype=np.int64) % p
     b, n, _ = a.shape
-    if p < 2**26:
-        a = np.ascontiguousarray(a.transpose(1, 2, 0), dtype=np.float64)
-        limit, step = 2**53, (p // 2 + 2) ** 2
-    else:
-        a = np.ascontiguousarray(a.transpose(1, 2, 0))
-        limit, step = 2**63, (p - 1) ** 2
+    a = np.ascontiguousarray(a.transpose(1, 2, 0), dtype=np.float64)
+    step = (p // 2 + 2) ** 2
     top = p  # bound on |entry|: p right after a reduction, + step per step
     buf = np.empty_like(a)
     rank = np.full(b, n, dtype=np.int64)
@@ -381,7 +367,7 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
         row = _reduce_mod(a[:1, 1:], p)
         col = _reduce_mod(a[1:, :1] * _inverse_mod(a[0, 0], p), p)
         a = a[1:, 1:]
-        if top + step >= limit:
+        if top + step >= 2**53:
             _reduce_mod(a, p)
             top = p
         a -= np.multiply(col, row, out=buf[: len(a), : len(a)])
@@ -404,12 +390,30 @@ def singularity_exact(n: int) -> Fraction:
     all +1 (s = m_11, then d_j = s d_1 m_1j), so the singular fraction of the
     2^{n(n-1)/2} matrices with that first row is Pr(det M_n = 0).
     """
+    singular = sum(singular_count_block(n, bits) for bits in _switching_chunks(n))
+    return Fraction(singular, 1 << (n * (n - 1) // 2))
+
+
+def rank_law_exact(n: int, p: PrimeModulus | int) -> tuple[Fraction, ...]:
+    """Exact Pr(rk M_n = k over F_p) for k = 0..n.
+
+    Switching keeps the rank over F_p (s D is invertible), so, as in
+    singularity_exact, the law of the rank is its law over the matrices
+    whose first row is all +1, ranked by batch_rank_mod_p.
+    """
+    ranks = np.concatenate([batch_rank_mod_p(_bits_to_sym(b, n), p) for b in _switching_chunks(n)])
+    return tuple(Fraction(int(c), len(ranks)) for c in np.bincount(ranks, minlength=n + 1))
+
+
+def _switching_chunks(n: int):
+    """The packed-bit chunks of the switching representatives of the n x n
+    symmetric sign matrices (first row all +1), for 1 <= n <=
+    _EXACT_ENUM_GUARD (PreconditionViolated or GuardExceeded otherwise)."""
     if n < 1:
         raise PreconditionViolated("n must be >= 1")
     if n > _EXACT_ENUM_GUARD:
         raise GuardExceeded(f"exhaustive enumeration guard is n <= {_EXACT_ENUM_GUARD}")
-    singular = sum(singular_count_block(n, bits) for bits in _sym_chunks(n, fixed=n))
-    return Fraction(singular, 1 << (n * (n - 1) // 2))
+    return _sym_chunks(n, fixed=n)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -470,17 +474,6 @@ def _sub_batch_singular(n: int, bits: np.ndarray, pos: np.ndarray) -> int:
     return int(flagged.size) + sum(1 for i in suspects if det_bareiss(t[i]) == 0)
 
 
-def _trial_blocks(n: int, trials: int) -> list[int]:
-    """Sizes of the Monte Carlo trial blocks: _MC_BLOCK each, the last one short."""
-    if n < 1:
-        raise PreconditionViolated("n must be >= 1")
-    if n > _DET_GUARD:
-        raise GuardExceeded(f"guard is n <= {_DET_GUARD}")
-    if trials <= 0:
-        raise PreconditionViolated("trials must be positive")
-    return [min(_MC_BLOCK, trials - start) for start in range(0, trials, _MC_BLOCK)]
-
-
 def _mc_block_task(args) -> int:
     n, master_seed, block_idx, block_size = args
     g = substream(master_seed, f"singularity-mc:n={n}", block_idx)
@@ -500,9 +493,16 @@ def singularity_mc_sharded(
 
     Block i always draws from substream (seed, "singularity-mc:n=<n>", i), so
     the result is byte-identical for every worker count; workers only change
-    scheduling.
+    scheduling.  Blocks hold _MC_BLOCK trials each, the last one fewer.
     """
-    tasks = [(n, master_seed, i, b) for i, b in enumerate(_trial_blocks(n, trials))]
+    if n < 1:
+        raise PreconditionViolated("n must be >= 1")
+    if n > _DET_GUARD:
+        raise GuardExceeded(f"guard is n <= {_DET_GUARD}")
+    if trials <= 0:
+        raise PreconditionViolated("trials must be positive")
+    starts = range(0, trials, _MC_BLOCK)
+    tasks = [(n, master_seed, i, min(_MC_BLOCK, trials - s)) for i, s in enumerate(starts)]
     if workers <= 1:
         counts = [_mc_block_task(t) for t in tasks]
     else:
@@ -642,7 +642,7 @@ def odlyzko_check(basis, n: int, p: PrimeModulus) -> tuple[int, bool]:
 
 def adjugate_mod_p(mat, p: PrimeModulus) -> list[list[int]]:
     """Transpose cofactor matrix over F_p, by minor determinants."""
-    a = _residues(mat, p.p)
+    a = _residues(_square_ints(mat), p.p)
     d = len(a)
     adj = [[0] * d for _ in range(d)]
     for i in range(d):
@@ -699,7 +699,7 @@ def adjugate_rank1_check(mat, p: PrimeModulus) -> AdjugateReport:
 
 def inverse_mod_p(mat, p: PrimeModulus) -> np.ndarray:
     """Inverse over F_p, read off the RREF of [A | I], as an object array of ints."""
-    a = _residues(mat, p.p)
+    a = _residues(_square_ints(mat), p.p)
     d = len(a)
     aug = [row + [int(i == j) for j in range(d)] for i, row in enumerate(a)]
     if _rref(aug, p.p)[0] != list(range(d)):
@@ -723,6 +723,8 @@ def decoupling_identity_check(
     i_set, j_set = {int(i) for i in i_set}, {int(j) for j in j_set}
     if i_set & j_set or i_set | j_set != set(range(d)):
         raise PreconditionViolated("I, J must partition the index set")
+    if len(u) != d or len(u_prime) != d:
+        raise PreconditionViolated("u and u' must have the dimension of the matrix")
     in_i = np.array([i in i_set for i in range(d)], dtype=bool)
     uu = np.array([int(x) for x in u], dtype=object)
     vv = np.array([int(x) for x in u_prime], dtype=object)
@@ -815,56 +817,3 @@ def q_exact_max(
     hits = _solution_counts(n, p.p, vs, ws)
     best = max(hits)
     return Fraction(best, 1 << m), ws[hits.index(best)]
-
-
-# ---------------------------------------------------------------------------
-# Rank profiles under one-step minor removal.
-# ---------------------------------------------------------------------------
-
-
-def rank_profile_mc(n: int, trials: int, p: PrimeModulus, rng: np.random.Generator) -> dict:
-    """Joint frequencies of (rk(M_n), rk(M_{n-1})) over F_p plus a rank-growth scan.
-
-    M_{n-1} removes the first row and column.  Marginals for every dimension
-    m <= n come from trailing principal blocks of the same samples (each is a
-    uniform symmetric matrix in law).  The scan flags, beyond 4 sigma, any
-    violation of  Pr(rk(M_m) = k) <= 2 Pr(rk(M_{2m-k-1}) = 2m-k-2)  for
-    instances with both dimensions estimated (2m-k-1 <= n).
-    """
-    blocks = _trial_blocks(n, trials)
-    m_pack = n * (n + 1) // 2
-    joint: dict[tuple[int, int], int] = {}
-    marg: dict[int, np.ndarray] = {m: np.zeros(m + 1, dtype=np.int64) for m in range(1, n + 1)}
-    for b in blocks:
-        bits = rng.integers(0, 2, size=(b, m_pack), dtype=np.int64)
-        mats = _bits_to_sym(bits, n)
-        ranks_by_dim: dict[int, np.ndarray] = {}
-        for m in range(1, n + 1):
-            sub = mats[:, n - m :, n - m :]
-            ranks_by_dim[m] = batch_rank_mod_p(sub, p.p)
-            counts = np.bincount(ranks_by_dim[m], minlength=m + 1)
-            marg[m] += counts.astype(np.int64)
-        rn = ranks_by_dim[n]
-        rn1 = ranks_by_dim[n - 1] if n >= 2 else ranks_by_dim[n]
-        for a, c in zip(rn.tolist(), rn1.tolist()):
-            joint[(a, c)] = joint.get((a, c), 0) + 1
-    flags = []
-    for m in range(2, n + 1):
-        for k in range(0, m):
-            m2 = 2 * m - k - 1
-            if m2 > n:
-                continue
-            lhs = marg[m][k] / trials
-            rhs = marg[m2][m2 - 1] / trials
-            s1 = math.sqrt(max(lhs * (1 - lhs), 1e-12) / trials)
-            s2 = math.sqrt(max(rhs * (1 - rhs), 1e-12) / trials)
-            if lhs > 2 * rhs + 4 * math.sqrt(s1 * s1 + 4 * s2 * s2):
-                flags.append({"m": m, "k": k, "lhs": lhs, "rhs": rhs})
-    return {
-        "n": n,
-        "p": p.p,
-        "trials": trials,
-        "joint": {f"{a},{c}": cnt for (a, c), cnt in sorted(joint.items())},
-        "marginals": {m: marg[m].tolist() for m in sorted(marg)},
-        "violations": flags,
-    }

@@ -114,12 +114,21 @@ def test_rank_against_independent_rref():
         assert ml.rank_mod_p(m, p) == len(pivots) == nonzero_rows
 
 
+def _largest_batch_prime():
+    # the largest prime below 2^26, the bound of the float64 rank kernel
+    p = 2**26 - 1
+    while not is_prime_u64(p):
+        p -= 2
+    return p
+
+
 def test_batch_rank_matches_scalar():
     g = substream(52, "batch", 0)
     mats = g.integers(-1, 2, size=(50, 6, 6))
-    ranks = ml.batch_rank_mod_p(mats, 2**31 - 1)
+    p = _largest_batch_prime()
+    ranks = ml.batch_rank_mod_p(mats, p)
     for i in range(50):
-        assert int(ranks[i]) == ml.rank_mod_p(mats[i], 2**31 - 1)
+        assert int(ranks[i]) == ml.rank_mod_p(mats[i], p)
 
 
 def _low_rank_symmetric(g, n, p):
@@ -149,7 +158,7 @@ def test_batch_rank_low_rank_batches():
 
 
 def test_batch_rank_planted_duplicates():
-    p = 2**31 - 1
+    p = _largest_batch_prime()
     for n in (2, 6, 11, 16, 20):
         g = substream(52, "batch-planted", n)
         mats = ml._bits_to_sym(g.integers(0, 2, size=(60, n * (n + 1) // 2)), n)
@@ -160,26 +169,6 @@ def test_batch_rank_planted_duplicates():
         ranks = ml.batch_rank_mod_p(mats, p)
         assert ranks.tolist() == [ml.rank_mod_p(m, p) for m in mats]
         assert (ranks[::2] < n).all()
-
-
-def _largest_batch_prime():
-    # largest prime p with (p - 1)^2 < 2^63
-    p = math.isqrt(2**63 - 1) + 1
-    while not is_prime_u64(p):
-        p -= 1
-    return p
-
-
-def test_batch_rank_int64_guard():
-    g = substream(52, "batch-guard", 0)
-    with pytest.raises(GuardExceeded):
-        ml.rank_profile_mc(6, 200, next_prime(2**40), g)
-    mats = g.integers(0, 2, size=(200, 6, 6)) * 2 - 1
-    p = _largest_batch_prime()
-    ranks = ml.batch_rank_mod_p(mats, p)
-    assert all(int(ranks[i]) == ml.rank_mod_p(mats[i], p) for i in range(200))
-    with pytest.raises(GuardExceeded):
-        ml.batch_rank_mod_p(mats, next_prime(p + 1).p)
 
 
 @pytest.mark.parametrize("big", [2**63, 2**64 + 1, -(2**63) - 1])
@@ -201,62 +190,47 @@ def test_batch_rank_reduces_uint64_and_keeps_small_dtypes():
 @pytest.mark.parametrize("p", [2, 3, 2**20 + 7, 2**26 - 5, 2**26 + 15])
 def test_batch_rank_either_side_of_the_float64_bound(p):
     # below 2^26 the kernel runs in float64 (near 2^26 the trailing block
-    # needs a reduction every few steps), from 2^26 on in int64
-    assert is_prime_u64(p) and (p < 2**26) == (p in (2, 3, 2**20 + 7, 2**26 - 5))
+    # needs a reduction every few steps); the first prime from 2^26 on,
+    # 2^26 + 15, is refused
+    assert is_prime_u64(p) and (p < 2**26) == (p in (2, 3, 2**20 + 7, _largest_batch_prime()))
     for n in (1, 2, 9, 17):
         g = substream(52, f"batch-float-{p}", n)
         full = g.integers(-(2**40), 2**40, size=(30, n, n))
         low = np.array([_low_rank_symmetric(g, n, p) for _ in range(30)])
         for mats in (full, low):
-            assert ml.batch_rank_mod_p(mats, p).tolist() == [ml.rank_mod_p(m, p) for m in mats]
+            if p > 2**26:
+                with pytest.raises(GuardExceeded):
+                    ml.batch_rank_mod_p(mats, p)
+            else:
+                assert ml.batch_rank_mod_p(mats, p).tolist() == [ml.rank_mod_p(m, p) for m in mats]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 101, 2**20 + 7, 2**26 - 5, 2**26 + 15])
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 2**20 + 7, 2**25 + 35, 2**26 - 5])
 def test_inverse_mod(p):
     x = np.unique(np.linspace(1, p - 1, 300).astype(np.int64))
-    if p < 2**26:  # float64 residues may be centred, so negative
-        x = np.where(x > p // 2, x - p, x)
-        inv = ml._inverse_mod(x.astype(np.float64), p).astype(np.int64)
-    else:
-        inv = ml._inverse_mod(x, p)
+    x = np.where(x > p // 2, x - p, x)  # float64 residues may be centred, so negative
+    inv = ml._inverse_mod(x.astype(np.float64), p).astype(np.int64)
     assert (x * inv % p == 1).all()
 
 
-@st.composite
-def _guarded_product_inputs(draw):
-    """(a, b, a_bound, b_bound) with inner_dim * a_bound * b_bound < 2^53."""
-    m, k, r = (draw(st.integers(0, 5)) for _ in range(3))
-    a_bound = draw(st.integers(0, 2**52))
-    b_bound = draw(st.integers(0, (2**53 - 1) // (max(k, 1) * max(a_bound, 1))))
-    a = draw(st.lists(st.lists(st.integers(-a_bound, a_bound), min_size=k, max_size=k),
-                      min_size=m, max_size=m))
-    b = draw(st.lists(st.lists(st.integers(-b_bound, b_bound), min_size=r, max_size=r),
-                      min_size=k, max_size=k))
-    return a, b, a_bound, b_bound
+def test_plain_int_moduli_must_be_prime():
+    a = [[2, 0], [0, 1]]
+    for p in (-5, 0, 1, 4, 9, 2**20 + 9):
+        for call in (ml.rank_mod_p, ml.rref_mod_p):
+            with pytest.raises(PreconditionViolated, match="not prime"):
+                call(a, p)
+        with pytest.raises(PreconditionViolated, match="not prime"):
+            ml.batch_rank_mod_p([a], p)
+    for p in (2, 3):
+        assert ml.batch_rank_mod_p([a], p).tolist() == [ml.rank_mod_p(a, p)]
+    assert ml.rank_mod_p(a, 2) == 1 and ml.rank_mod_p(a, 3) == 2
 
 
-@settings(max_examples=300, deadline=None)
-@given(_guarded_product_inputs())
-def test_exact_matmul_matches_python_ints(case):
-    a, b, a_bound, b_bound = case
-    m, k, r = len(a), len(b), len(b[0]) if b else 0
-    got = ml._exact_matmul(np.array(a, dtype=np.int64).reshape(m, k),
-                           np.array(b, dtype=np.int64).reshape(k, r), a_bound, b_bound)
-    assert got.dtype == np.int64
-    want = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(r)] for i in range(m)]
-    assert got.tolist() == want
-
-
-def test_exact_matmul_guard_edge():
-    # 2^53 - 1 = 6361 * 69431 * 20394401 is the largest bound product allowed
-    a = np.full((2, 6361), 69431)
-    a[1] = -69431
-    b = np.full((6361, 1), 20394401)
-    assert ml._exact_matmul(a, b, 69431, 20394401).tolist() == [[2**53 - 1], [-(2**53 - 1)]]
-    with pytest.raises(GuardExceeded):
-        ml._exact_matmul([[2**26]], [[2**27]], 2**26, 2**27)
-    with pytest.raises(GuardExceeded):
-        ml._exact_matmul(a, b, 69431, 20394402)
+def test_batch_rank_needs_a_batch_of_square_matrices():
+    for mats in ([[1, 0], [0, 1]], np.zeros((3, 2, 3)), np.zeros((2, 2, 2, 2)), [[[1, 0], [0]]]):
+        with pytest.raises(PreconditionViolated, match="shape"):
+            ml.batch_rank_mod_p(mats, 5)
+    assert ml.batch_rank_mod_p(np.zeros((0, 3, 3)), 5).tolist() == []
 
 
 _PRIMES = st.one_of(st.integers(5, 2**16), st.integers(2**32, 2**62)).map(
@@ -277,7 +251,7 @@ def test_elimination_core_differential(a, p):
     assert det == ml.det_bareiss(a) % p
     rref, pivots = ml.rref_mod_p(a, p)
     assert ml.rank_mod_p(a, p) == len(pivots)
-    if (p - 1) ** 2 < 2**63:
+    if p < 2**26:
         assert int(ml.batch_rank_mod_p(np.array([a]), p)[0]) == len(pivots)
     if det == 0:
         with pytest.raises(SingularMatrix):
@@ -345,7 +319,7 @@ def test_singularity_entry_points_reject_n_below_one(capsys):
     for call in (
         lambda: ml.singularity_exact(0),
         lambda: ml.singularity_mc_sharded(-3, 10, 1),
-        lambda: ml.rank_profile_mc(0, 10, P5, substream(51, "n0", 0)),
+        lambda: ml.rank_law_exact(0, P5),
     ):
         with pytest.raises(PreconditionViolated, match="n must be >= 1"):
             call()
@@ -718,6 +692,21 @@ def test_decoupling_identity_rejects_singular():
         ml.decoupling_identity_check([[1, 1], [1, 1]], [1, 1], [1, 1], [0], [1], P5)
 
 
+def test_inverse_and_adjugate_need_square_input():
+    # a 2 x 3 input used to give a 2 x 3 "inverse" and a 2 x 2 "adjugate"
+    for mat in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [1, 1]], [[1, 2], [3]], np.eye(2, 3)):
+        for call in (ml.inverse_mod_p, ml.adjugate_mod_p):
+            with pytest.raises(PreconditionViolated, match="square"):
+                call(mat, P5)
+
+
+def test_decoupling_identity_needs_vectors_of_the_matrix_dimension():
+    m = [[1, 2], [2, 1]]
+    for u, u2 in (([1], [1, -1]), ([1, -1], [1, -1, 1]), ([1, 1, 1], [1, 1, 1])):
+        with pytest.raises(PreconditionViolated, match="dimension"):
+            ml.decoupling_identity_check(m, u, u2, [0], [1], P5)
+
+
 def test_decoupling_probability_edge_events():
     px = {0: Fraction(1, 2), 1: Fraction(1, 2)}
     py = {0: Fraction(1, 3), 1: Fraction(2, 3)}
@@ -791,31 +780,39 @@ def test_exhaustive_probabilities_match_loop_reference():
     assert ml.q_exact_max(2, P5, beta, strict=False) == (best, min(w for w in qs if qs[w] == best))
 
 
-def test_rank_profile_growth_scan_at_n6():
-    rep = ml.rank_profile_mc(6, 20000, P5, substream(56, "prof6", 0))
-    # the scan covers instances with both dimensions estimated and none fire
-    assert rep["violations"] == []
-    for m, counts in rep["marginals"].items():
-        assert sum(counts) == 20000
+def test_rank_law_exact_matches_full_enumeration():
+    for p in (5, 7):
+        for n in range(1, 5):
+            mats = np.concatenate([ml._bits_to_sym(bits, n) for bits in ml._sym_chunks(n)])
+            counts = np.bincount([ml.rank_mod_p(m, p) for m in mats], minlength=n + 1)
+            want = tuple(Fraction(int(c), len(mats)) for c in counts)
+            assert ml.rank_law_exact(n, p) == want, (p, n)
 
 
-def test_rank_profile_mc():
-    rep = ml.rank_profile_mc(2, 100000, P5, substream(56, "prof", 0))
-    joint_total = sum(rep["joint"].values())
-    assert joint_total == 100000
-    # exact enumeration value for comparison: Pr(rank M_2 = 1 over F_5)
-    from itertools import product
+def test_rank_law_exact_frozen_at_n6():
+    assert ml.rank_law_exact(6, P5) == tuple(
+        Fraction(*f) for f in ((0, 1), (1, 32768), (31, 32768), (45, 4096), (745, 8192),
+                               (2755, 8192), (2297, 4096))
+    )
 
-    cnt = 0
-    for a, b, c in product((-1, 1), repeat=3):
-        m = np.array([[a, b], [b, c]])
-        if ml.rank_mod_p(m, P5) == 1:
-            cnt += 1
-    exact = cnt / 8
-    est = sum(v for k, v in rep["joint"].items() if k.startswith("1,")) / 100000
-    assert abs(est - exact) < 0.01
-    assert rep["violations"] == []
-    # interlacing: removing one row/column drops the rank by at most 2
-    for key in rep["joint"]:
-        rn, rn1 = map(int, key.split(","))
-        assert rn - 2 <= rn1 <= rn
+
+def test_rank_law_growth_inequality():
+    # Pr(rk M_m = k) <= 2 Pr(rk M_{2m-k-1} = 2m-k-2) over F_p, exactly, on
+    # every instance the exact laws reach
+    for p in (P5, P7):
+        laws = {m: ml.rank_law_exact(m, p) for m in range(1, ml._EXACT_ENUM_GUARD + 1)}
+        instances = [(m, k, 2 * m - k - 1) for m in range(2, 7) for k in range(m)
+                     if 2 * m - k - 1 <= ml._EXACT_ENUM_GUARD]
+        assert len(instances) == 11
+        for m, k, m2 in instances:
+            assert laws[m][k] <= 2 * laws[m2][m2 - 1], (p.p, m, k)
+
+
+def test_rank_law_exact_guards():
+    for n in (-3, 0):
+        with pytest.raises(PreconditionViolated, match="n must be >= 1"):
+            ml.rank_law_exact(n, P5)
+    with pytest.raises(GuardExceeded):
+        ml.rank_law_exact(ml._EXACT_ENUM_GUARD + 1, P5)
+    with pytest.raises(GuardExceeded):
+        ml.rank_law_exact(3, next_prime(2**26))
