@@ -171,6 +171,18 @@ def test_batch_rank_planted_duplicates():
         assert (ranks[::2] < n).all()
 
 
+def test_batch_rank_int64_guard():
+    # +-1 matrices agree with the scalar rank at the largest prime the
+    # float64 kernel takes; the next prime is refused
+    g = substream(52, "batch-guard", 0)
+    mats = g.integers(0, 2, size=(200, 6, 6)) * 2 - 1
+    p = _largest_batch_prime()
+    ranks = ml.batch_rank_mod_p(mats, p)
+    assert all(int(ranks[i]) == ml.rank_mod_p(mats[i], p) for i in range(200))
+    with pytest.raises(GuardExceeded):
+        ml.batch_rank_mod_p(mats, next_prime(p + 1).p)
+
+
 @pytest.mark.parametrize("big", [2**63, 2**64 + 1, -(2**63) - 1])
 def test_batch_rank_reduces_entries_past_int64(big):
     for p in (5, 7, _largest_batch_prime()):
