@@ -2,12 +2,15 @@
 """Symmetric sign-matrix singularity: exact values, Monte Carlo, exact rank
 laws over F_5, identities.
 
-Every Monte Carlo decision is exact: fraction-free elimination in float64
-is exact integer arithmetic for the first 13 steps on sign matrices (the
-Hadamard bound keeps every minor below 2^53, and below 2^24 for the first 7
-steps, which run in float32), which decides n <= 14; past
-that, the trailing block gets its rank modulo the prime 2^20 + 7 and any
-block flagged there is confirmed with an exact integer determinant.
+Every Monte Carlo decision is exact.  Switching a sign matrix M so that its
+first row and column are all +1 leaves a 0/1 matrix B of order n - 1 (its
+switched complement) with det M = +-2^(n-1) det B.  Fraction-free
+elimination of B is exact integer arithmetic in float for its first 13
+steps (Hadamard's bound on 0/1 minors keeps every value below 2^53, and
+below 2^24 for the first 11 steps, which run in float32), which decides
+n <= 15; past that, the trailing block gets its rank modulo the prime
+2^20 + 7 and any block flagged there is confirmed with an exact integer
+determinant.
 The long-run comparison target is the folklore value n^2 2^{1-n} (two equal
 rows/columns up to sign).
 """

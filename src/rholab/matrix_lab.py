@@ -3,17 +3,22 @@ the algebraic identities behind the rank-reduction arguments.
 
 Exactness contract: a matrix is declared singular over Z only when its
 integer determinant is exactly zero.  singular_count_block, behind both the
-exhaustive and the Monte Carlo counts, runs fraction-free (Bareiss)
-elimination on a batch of sign matrices in float64 (_float_bareiss).  The
-operands of step k are (k+1)-order minors, at most (k+1)^{(k+1)/2} by
-Hadamard's bound, so each numerator a_kk a_ij - a_ik a_kj is an integer
-below 2 (k+1)^{k+1} and every step k <= 12 is exact: the first
-_FLOAT_STEPS = 13 steps decide every n <= 14 (the first 7, below 2^24,
-run in float32).  A matrix with no pivot in a
-column is singular.  For n >= 15 the trailing (n-13)-square block T of the
-others holds 14-order minors, at most 14^7; Sylvester's identity gives
-det T = +-det(A_13)^{n-14} det A (rows swapped) with the leading block A_13
-nonsingular, so T's rank modulo _BLOCK_PRIME flags every singular A, and
+exhaustive and the Monte Carlo counts, switches each sign matrix M so that
+its first row and column are all +1 (as singularity_exact does) and counts
+on the switched 0/1 complement B of order n - 1, B_ij = b_00 ^ b_0i ^ b_0j
+^ b_ij over the packed bits, with det M = +-2^{n-1} det B (the classical
++-1 to 0/1 reduction; J. Williamson, Amer. Math. Monthly 53, 1946).  It runs
+fraction-free (Bareiss) elimination on a batch of these B in float
+(_float_bareiss).  The operands of step k are (k+1)-order 0/1 minors, at
+most (k+2)^{(k+2)/2} / 2^{k+1} by Hadamard's bound, so each numerator
+a_kk a_ij - a_ik a_kj is an integer below 2 (k+2)^{k+2} / 4^{k+1}: below
+2^24 for the first _FLOAT32_STEPS = 11 steps, which run in float32, and
+below 2^53 for the first 19.  The count takes _FLOAT_STEPS = 13 steps, which
+decide every n <= 15.  A matrix with no pivot in a column is singular.  For
+n >= 16 the trailing (n-14)-square block T of the others holds 14-order
+minors, at most 15^{15/2} / 2^14; Sylvester's identity gives
+det T = +-det(B_13)^{n-15} det B (rows swapped) with the leading block B_13
+nonsingular, so T's rank modulo _BLOCK_PRIME flags every singular B, and
 Bareiss on T in Python ints confirms or clears each flag.  So Monte Carlo
 counts are exact counts.  The CRT determinant det_exact is an independent
 cross-check of Bareiss, not part of the count.
@@ -26,9 +31,9 @@ must be prime (PreconditionViolated otherwise).  batch_rank_mod_p works in
 float64 only, for primes below 2^26 (GuardExceeded otherwise), keeping
 every value an integer below 2^53.  odlyzko_check's sign-vector reduction
 and _solution_counts work in int64 and raise GuardExceeded before a value
-could reach 2^63.  The float64 elimination holds integers below 2^53 by
-the bound above, which rests on +-1 entries: singular_count_block rejects
-bits outside {0, 1}.
+could reach 2^63.  The float elimination holds integers below 2^53 by
+the bound above, which rests on 0/1 entries of B: singular_count_block
+rejects bits outside {0, 1}.
 """
 
 from __future__ import annotations
@@ -60,11 +65,13 @@ _DECOUPLE_SUPPORT_GUARD = 16
 _Q_ENUM_GUARD = 10**8
 _MC_BLOCK = 20000  # trials per Monte Carlo block
 _SUB_BATCH = 1024  # matrices per float64 elimination in singular_count_block
-# Float64 Bareiss steps that stay exact on sign matrices: step k's numerator
-# is below 2 (k+1)^(k+1) (Hadamard), under 2^53 up to k = 12.
-_FLOAT_STEPS = max(k for k in range(1, 64) if 2 * k**k < 2**53)
-# The first 7 of them stay below 2^24, exact in float32.
-_FLOAT32_STEPS = max(k for k in range(1, 64) if 2 * k**k < 2**24)
+# Bareiss step k on a 0/1 matrix works on (k+1)-order minors, at most
+# (k+2)^((k+2)/2) / 2^(k+1) by Hadamard's bound, so its numerator is below
+# 2 (k+2)^(k+2) / 4^(k+1): below 2^24 (exact in float32) for the first 11
+# steps, below 2^53 for the first 19.  The count runs 13 steps, so n >= 16
+# leaves a trailing block to the rank kernel mod _BLOCK_PRIME.
+_FLOAT32_STEPS = max(s for s in range(1, 64) if 2 * (s + 1) ** (s + 1) < 2**24 * 4**s)
+_FLOAT_STEPS = 13
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -241,48 +248,56 @@ def _bits_to_sym(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 def _float_bareiss(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fraction-free elimination of the (n, n, B) batch of sign matrices
-    (batch innermost, overwritten) for min(n - 1, _FLOAT_STEPS) steps.  A
-    float32 batch runs its first _FLOAT32_STEPS steps, whose numerators
-    stay below 2^24, in float32 (half the memory traffic), the rest in
+    """Fraction-free elimination of the (n, n, B) batch of 0/1 matrices
+    (batch innermost, overwritten) for min(n - 1, _FLOAT_STEPS) steps.  The
+    entries must be 0 or 1: the exactness bound on each step's numerator
+    (below 2^53, and below 2^24 for the first _FLOAT32_STEPS = 11) is
+    Hadamard's bound on 0/1 minors.  A float32 batch runs its first
+    _FLOAT32_STEPS steps in float32 (half the memory traffic), the rest in
     float64.
 
-    At each step a matrix swaps in its first nonzero pivot of the column;
-    one with none is singular and is dropped from the batch.  Every trailing
-    entry becomes (a_kk a_ij - a_ik a_kj) / (previous pivot).  Returns the
-    batch indices of the singular matrices, ascending, and the trailing
-    blocks of the rest: 1 x 1 blocks that all hold a nonzero determinant
-    when n <= _FLOAT_STEPS + 1, otherwise (n - _FLOAT_STEPS)-square blocks T
-    with det T = 0 iff det A = 0 (Sylvester's identity; the leading pivot
-    block is nonsingular).
+    At each step a matrix swaps in its first nonzero pivot of the column.
+    One with none is singular; it stays in the batch with its previous
+    pivot standing in, so the step only drops its zero column and first row
+    (every later value is still a 0/1 minor within the bound).  Every
+    trailing entry becomes (a_kk a_ij - a_ik a_kj) / (previous pivot), the
+    cross products going to one scratch buffer.  Returns the batch indices
+    of the singular matrices, ascending, and the trailing blocks of the
+    rest: 1 x 1 blocks (0 x 0 when n = 0) that all hold a nonzero
+    determinant when n <= _FLOAT_STEPS + 1, otherwise
+    (n - _FLOAT_STEPS)-square blocks T with det T = 0 iff det A = 0
+    (Sylvester's identity; the leading pivot block is nonsingular).
     """
     steps = min(a.shape[0] - 1, _FLOAT_STEPS)
-    live = np.arange(a.shape[2])
-    singular = [live[:0]]
+    singular = np.zeros(a.shape[2], dtype=bool)
     prev = np.ones(a.shape[2], dtype=a.dtype)
+    buf = np.empty_like(a)
     for k in range(steps + 1):
         if k == _FLOAT32_STEPS:
             a, prev = a.astype(np.float64), prev.astype(np.float64)
+            buf = np.empty_like(a)
         nz = a[:, 0] != 0
         has = nz.any(axis=0)
         if not has.all():
-            keep = np.flatnonzero(has)
-            singular.append(live[~has])
-            a, nz, prev, live = np.take(a, keep, axis=2), nz[:, keep], prev[keep], live[keep]
+            lack = np.flatnonzero(~has)
+            singular[lack] = True
+            a[0, 0, lack] = prev[lack]
         if k == steps:
             break
-        piv = nz.argmax(axis=0)
-        sw = np.flatnonzero(piv)
-        r = piv[sw]
-        a[0, :, sw], a[r, :, sw] = a[r, :, sw], a[0, :, sw]
+        sw = np.flatnonzero(a[0, 0] == 0)
+        if sw.size:
+            r = nz[:, sw].argmax(axis=0)
+            a[0, :, sw], a[r, :, sw] = a[r, :, sw], a[0, :, sw]
         pivot = a[0, 0].copy()
-        cross = a[1:, :1] * a[:1, 1:]
+        m = len(a) - 1
+        cross = np.multiply(a[1:, :1], a[:1, 1:], out=buf[:m, :m])
         a = a[1:, 1:]
         a *= pivot
         a -= cross
         a /= prev
         prev = pivot
-    return np.sort(np.concatenate(singular)), a
+    flagged = np.flatnonzero(singular)
+    return flagged, np.take(a, np.flatnonzero(~singular), axis=2) if flagged.size else a
 
 
 def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -360,6 +375,8 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
                 keep = np.flatnonzero(has)
                 a, live, buf = np.take(a, keep, axis=2), live[keep], buf[:, :, : keep.size]
             nz = a[:, 0] != 0
+        if k == n - 1:  # a 1 x 1 block: nothing is left to eliminate
+            break
         piv = nz.argmax(axis=0)
         sw = np.flatnonzero(piv)
         r = piv[sw]
@@ -441,10 +458,10 @@ class SingularityEstimate:
 
 def singular_count_block(n: int, bits: np.ndarray) -> int:
     """Exact count of singular matrices among the [B, n(n+1)/2] packed-bit
-    batch, in sub-batches of _SUB_BATCH: float64 Bareiss decides
-    n <= _FLOAT_STEPS + 1; past that the trailing blocks it leaves get
-    their rank mod _BLOCK_PRIME, and Bareiss on Python ints confirms each
-    block whose rank drops."""
+    batch, in sub-batches of _SUB_BATCH: float Bareiss on the switched 0/1
+    complements decides n <= _FLOAT_STEPS + 2; past that the trailing
+    blocks it leaves get their rank mod _BLOCK_PRIME, and Bareiss on Python
+    ints confirms each block whose rank drops."""
     bits = np.asarray(bits)
     if n < 1:
         raise PreconditionViolated("n must be >= 1")
@@ -463,14 +480,34 @@ def singular_count_block(n: int, bits: np.ndarray) -> int:
     )
 
 
+def _switched_complement(bits: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The (n-1, n-1, B) uint8 0/1 matrices B_ij = b_00 ^ b_0i ^ b_0j ^ b_ij
+    (i, j >= 1) of a packed-bit batch [B, n(n+1)/2], through the packed
+    positions pos; det M = +-2^(n-1) det B.
+
+    Switching M to s D M D with s = m_00, d_j = m_00 m_0j (see
+    singularity_exact) makes its first row and column all +1 and keeps
+    |det M|.  Entry ij becomes m_00 m_0i m_0j m_ij, which is -1 exactly when
+    an odd number of the four bits is 1, that is when B_ij = 1.  Subtracting
+    the first row from the others leaves -2 B beside the corner 1.
+    """
+    b = np.ascontiguousarray(bits.astype(np.uint8).T)
+    first = b[pos[0]]
+    c = b[pos[1:, 1:]]
+    c ^= first[1:, None]
+    c ^= first[None, 1:] ^ first[0]
+    return c
+
+
 def _sub_batch_singular(n: int, bits: np.ndarray, pos: np.ndarray) -> int:
-    """Exact count of singular matrices in a packed-bit sub-batch, laid out
-    as (n, n, B) float32 signs through the packed positions pos."""
-    flagged, t = _float_bareiss((bits.T.astype(np.float32) * 2 - 1)[pos])
-    if n <= _FLOAT_STEPS + 1:
+    """Exact count of singular matrices in a packed-bit sub-batch, by
+    float32/float64 Bareiss on their switched 0/1 complements B (order
+    n - 1), which decides n <= _FLOAT_STEPS + 2."""
+    flagged, t = _float_bareiss(_switched_complement(bits, pos).astype(np.float32))
+    if n <= _FLOAT_STEPS + 2:
         return int(flagged.size)
     t = t.transpose(2, 0, 1).astype(np.int64)
-    suspects = np.flatnonzero(batch_rank_mod_p(t, _BLOCK_PRIME) < n - _FLOAT_STEPS)
+    suspects = np.flatnonzero(batch_rank_mod_p(t, _BLOCK_PRIME) < n - 1 - _FLOAT_STEPS)
     return int(flagged.size) + sum(1 for i in suspects if det_bareiss(t[i]) == 0)
 
 
@@ -609,7 +646,8 @@ def block_probability_exact(
 def odlyzko_check(basis, n: int, p: PrimeModulus) -> tuple[int, bool]:
     """Count sign vectors inside span(basis) over F_p; at most 2^|basis|.
 
-    The basis must be independent (DependentBasis otherwise).  Membership is
+    The basis rows must have length n (PreconditionViolated otherwise) and
+    be independent (DependentBasis otherwise).  Membership is
     decided by reducing every x in {-1,1}^n against the basis RREF in int64,
     whose products stay below 2^63 while (p - 1) p < 2^63 (GuardExceeded
     otherwise).
@@ -618,6 +656,9 @@ def odlyzko_check(basis, n: int, p: PrimeModulus) -> tuple[int, bool]:
         raise GuardExceeded(f"guard is n <= {_ODLYZKO_GUARD}")
     if (p.p - 1) * p.p >= 2**63:
         raise GuardExceeded("odlyzko_check needs (p - 1) p < 2^63 for int64 products")
+    basis = list(basis)
+    if any(len(row) != n for row in basis):
+        raise PreconditionViolated("basis rows must have length n")
     rref, pivots = rref_mod_p(basis, p)
     k = len(rref)
     if k == 0:
@@ -668,10 +709,10 @@ def adjugate_rank1_check(mat, p: PrimeModulus) -> AdjugateReport:
     lambda * a a^T with a a kernel column.
 
     The input plays the role of the (n-1)-dimensional principal minor of an
-    n-dimensional matrix of corank 2 ("rank n-2"); its own rank must be
-    dim - 1 (PreconditionViolated otherwise).
+    n-dimensional matrix of corank 2 ("rank n-2"); it must be square and its
+    own rank must be dim - 1 (PreconditionViolated otherwise).
     """
-    a = np.array(_residues(mat, p.p), dtype=object)
+    a = np.array(_residues(_square_ints(mat), p.p), dtype=object)
     d = len(a)
     if not (a == a.T).all():
         raise PreconditionViolated("matrix must be symmetric")

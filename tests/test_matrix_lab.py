@@ -323,6 +323,35 @@ def test_singularity_exact_guard():
         ml.singularity_exact(7)
 
 
+_PACKED_BITS = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)
+)
+
+
+def _det_and_complement_det(bits: list[int]) -> tuple[int, int, int]:
+    n = math.isqrt(2 * len(bits))
+    row = np.array([bits])
+    b = ml._switched_complement(row, ml._packed_positions(n))
+    assert b.shape == (n - 1, n - 1, 1) and b.dtype == np.uint8 and b.max(initial=0) <= 1
+    return n, ml.det_bareiss(ml._bits_to_sym(row, n)[0]), ml.det_bareiss(b[:, :, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PACKED_BITS)
+def test_switched_complement_scales_the_determinant(bits):
+    n, det_m, det_b = _det_and_complement_det(bits)
+    assert det_m in (2 ** (n - 1) * det_b, -(2 ** (n - 1)) * det_b)
+
+
+def test_switched_complement_at_n_one_and_two():
+    # n = 1: B is 0 x 0 (det 1) and M = (+-1) is never singular
+    for bits in product((0, 1), repeat=1):
+        assert _det_and_complement_det(list(bits))[1:] in ((1, 1), (-1, 1))
+    for bits in product((0, 1), repeat=3):
+        n, det_m, det_b = _det_and_complement_det(list(bits))
+        assert n == 2 and det_m in (2 * det_b, -2 * det_b) and det_b in (0, 1)
+
+
 def test_singularity_entry_points_reject_n_below_one(capsys):
     import json
 
@@ -392,13 +421,19 @@ def test_float_stage_flags_only_singular_matrices(n):
     bits = _planted_bits(n, 60)
     dets = [ml.det_bareiss(m) for m in ml._bits_to_sym(bits, n)]
     singular = [i for i, d in enumerate(dets) if d == 0]
-    flagged, t = ml._float_bareiss((bits.T * 2 - 1).astype(np.float32)[ml._packed_positions(n)])
-    m = max(n - ml._FLOAT_STEPS, 1)
+    b = ml._switched_complement(bits, ml._packed_positions(n))
+    flagged, t = ml._float_bareiss(b.astype(np.float32))
+    m = min(n - 1, max(n - 1 - ml._FLOAT_STEPS, 1))
     assert t.shape == (m, m, len(bits) - flagged.size)
-    if n <= ml._FLOAT_STEPS + 1:
+    if n <= ml._FLOAT_STEPS + 2:
         assert flagged.tolist() == singular  # all exact: no pivot iff det = 0
     else:
         assert set(flagged.tolist()) <= set(singular)
+    # the matrices flagged singular stay in the batch and leave the others be
+    kept = np.setdiff1d(np.arange(len(bits)), flagged)
+    for j, i in enumerate(kept[:10]):
+        alone = ml._float_bareiss(b[:, :, [i]].astype(np.float32))[1]
+        assert np.array_equal(alone[:, :, 0], t[:, :, j])
 
 
 def test_mod_p_flags_are_confirmed_by_bareiss(monkeypatch):
@@ -432,10 +467,13 @@ def test_singular_count_block_on_hadamard_matrices():
 
 
 def test_float_stage_takes_thirteen_exact_steps(monkeypatch):
-    k = ml._FLOAT_STEPS
-    assert k == 13 and 2 * k**k < 2**53 <= 2 * (k + 1) ** (k + 1)
+    def exact(steps, mantissa):
+        # step k's numerator on a 0/1 matrix is below 2 (k+2)^(k+2) / 4^(k+1)
+        return 2 * (steps + 1) ** (steps + 1) < 2**mantissa * 4**steps
+
     k32 = ml._FLOAT32_STEPS
-    assert k32 == 7 and 2 * k32**k32 < 2**24 <= 2 * (k32 + 1) ** (k32 + 1)
+    assert k32 == 11 and exact(k32, 24) and not exact(k32 + 1, 24)
+    assert ml._FLOAT_STEPS == 13 and exact(19, 53) and not exact(20, 53)
     seen = []
     real = ml.batch_rank_mod_p
 
@@ -444,11 +482,13 @@ def test_float_stage_takes_thirteen_exact_steps(monkeypatch):
         return real(mats, p)
 
     monkeypatch.setattr(ml, "batch_rank_mod_p", spy)
-    ml.singular_count_block(14, _planted_bits(14, 60))
-    assert seen == []  # n <= 14: float64 decides every matrix
+    for n in (1, 2, 5, 14, 15):
+        ml.singular_count_block(n, _planted_bits(n, 60))
+    assert seen == []  # n <= 15: the float stage decides every matrix
     ml.singular_count_block(20, _planted_bits(20, 60))
     (shape, dtype, top), = seen
-    assert shape[1:] == (7, 7) and dtype == np.int64 and top <= 14**7
+    # order-14 0/1 minors: at most 15^(15/2) / 2^14 by Hadamard's bound
+    assert shape[1:] == (6, 6) and dtype == np.int64 and top**2 * 4**14 <= 15**15
 
 
 @pytest.mark.parametrize(
@@ -618,6 +658,14 @@ def test_odlyzko_int64_guard():
         ml.odlyzko_check([(1, p - 1)], 2, next_prime(p + 1))
 
 
+def test_odlyzko_rejects_rows_of_the_wrong_length():
+    # these reached the int64 reduction and raised numpy's broadcast ValueError
+    for basis in ([(1, 0, 1)], [(1, 0, 1, 1, 0)], [(1, 0, 1, 1), (1, 1, 0)]):
+        with pytest.raises(PreconditionViolated, match="length n"):
+            ml.odlyzko_check(basis, 4, P5)
+    assert ml.odlyzko_check([(1, 0, 1, 1)], 4, P5) == ml.odlyzko_check(iter([(1, 0, 1, 1)]), 4, P5)
+
+
 def test_odlyzko_standard_like_basis():
     # k standard basis vectors: exactly the sign patterns on those coords
     # never lie in the span unless the other coordinates vanish -> count 0
@@ -641,6 +689,13 @@ def test_adjugate_rank1_check():
             if ml.rank_mod_p(m, P7) == d - 1:
                 break
         assert ml.adjugate_rank1_check(m, P7).ok
+
+
+def test_adjugate_rank1_check_needs_a_square_matrix():
+    # a 2 x 3 matrix reached the symmetry test and raised numpy's broadcast ValueError
+    for mat in ([[1, 1, 0], [1, 1, 0]], [[1, 1], [1, 1], [0, 0]], [[1, 1], [1]]):
+        with pytest.raises(PreconditionViolated, match="square"):
+            ml.adjugate_rank1_check(mat, P7)
 
 
 def test_decoupling_identity_trivial_cases():
