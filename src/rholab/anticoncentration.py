@@ -36,9 +36,14 @@ limbs, each split into 32-bit words, become the rows of an (m, K) array, and
 a step by d adds two contiguous row ranges, b[d:] = a[d:] + a[:m-d] and the
 wrapped b[:d] = a[:d] + a[m-d:].  A carry pass every 30 steps keeps every
 word below 2^63, and K at least doubles whenever the count total outgrows
-it.  A walk with no single step (a constant vector) stays packed.  Both
-representations end as the same limb bytes, so the unpacking and the offset
-are one code path.
+it.  A walk with no single step (a constant vector) stays packed.
+
+Both representations end as one (m, K) array of 32-bit digits, one row per
+residue (the packed limbs padded to whole digits), plus the offset.  The
+law keeps that array: `ExactDistribution.counts` turns it into Python ints
+on first read, 64 bits per pass over the rows, and `_max_atom` reads the
+largest atom off the digits, comparing rows from the top digit down, so
+that only the winning row becomes an int.
 
 The bound side (Halasz chain) is evaluated in doubles from exact level-set
 cardinalities.  All three bounds read one weight table W(k), k in Z_p;
@@ -77,16 +82,56 @@ _DIGIT_BITS = np.uint64(32)
 _DIGIT_MASK = np.uint64(2**32 - 1)
 
 
-@dataclass(frozen=True)
 class ExactDistribution:
     """Exact law of a signed sum as atom -> count over 2^log2_denominator.
 
     Atoms are canonical residues for the Z_p walk and plain integers for the
-    lattice walk.  Counts always sum to the full denominator.
+    lattice walk.  Counts always sum to the full denominator.  A walked law
+    keeps the walk's (m, K) digit array, in which atom lo + j is row
+    (lo + j + shift) mod m, and builds `counts` from it on first read; a law
+    built from a counts dict gets digits only when `_max_atom` asks for them.
+    Two laws are equal when their counts and denominators are.
     """
 
-    counts: dict[int, int]
-    log2_denominator: int
+    __slots__ = ("log2_denominator", "_counts", "_law")
+    __hash__ = None
+
+    def __init__(self, counts: dict[int, int], log2_denominator: int):
+        self.log2_denominator = log2_denominator
+        self._counts = counts
+        self._law = None  # (digits, shift, lo)
+
+    @classmethod
+    def _walked(cls, digits: np.ndarray, shift: int, lo: int, log2_denominator: int):
+        dist = cls(None, log2_denominator)
+        dist._law = digits, shift, lo
+        return dist
+
+    @property
+    def counts(self) -> dict[int, int]:
+        if self._counts is None:
+            digits, shift, lo = self._law
+            first = (lo + shift) % len(digits)
+            rows = _unpack(np.concatenate((digits[first:], digits[:first])))
+            self._counts = {lo + j: c for j, c in enumerate(rows) if c}
+        return self._counts
+
+    def _digits(self) -> tuple[np.ndarray, int, int]:
+        """(digits, shift, lo), packed from the counts dict on first call if need be."""
+        if self._law is None:
+            lo, hi = min(self._counts), max(self._counts)
+            k = max(c.bit_length() for c in self._counts.values()) // 32 + 1
+            raw = b"".join(self._counts.get(a, 0).to_bytes(4 * k, "little") for a in range(lo, hi + 1))
+            self._law = np.frombuffer(raw, "<u4").reshape(hi - lo + 1, k), -lo, lo
+        return self._law
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactDistribution):
+            return NotImplemented
+        return (self.counts, self.log2_denominator) == (other.counts, other.log2_denominator)
+
+    def __repr__(self):
+        return f"ExactDistribution({self.counts!r}, {self.log2_denominator})"
 
 
 @dataclass(frozen=True)
@@ -107,9 +152,35 @@ class RhoResult:
 
 
 def _max_atom(dist: ExactDistribution) -> RhoResult:
-    best = max(dist.counts.values())
-    atom = min(a for a, c in dist.counts.items() if c == best)
-    return RhoResult(atom, best, dist.log2_denominator)
+    """The largest atom: rows compared from the top digit down, ties to the smallest atom."""
+    digits, shift, lo = dist._digits()
+    m, k = digits.shape
+    best = np.arange(m)
+    for t in range(k - 1, -1, -1):
+        col = digits[best, t]
+        best = best[col == col.max()]
+    j = int(((best - lo - shift) % m).min())
+    count = int.from_bytes(digits[(lo + j + shift) % m].tobytes(), "little")
+    return RhoResult(lo + j, count, dist.log2_denominator)
+
+
+def _unpack(digits: np.ndarray) -> list[int]:
+    """Rows of an (m, K) array of 32-bit digits as Python ints, 64 bits per pass."""
+    m, k = digits.shape
+    pairs = np.zeros((m, k + k % 2), "<u4")
+    pairs[:, :k] = digits
+    words = pairs.view("<u8")
+    rows = words[:, -1].tolist()
+    for t in range(words.shape[1] - 2, -1, -1):
+        rows = [hi << 64 | w for hi, w in zip(rows, words[:, t].tolist())]
+    return rows
+
+
+def _limb_digits(raw: bytes, m: int, w: int) -> np.ndarray:
+    """m little-endian limbs of w bytes, padded to whole 32-bit digits: an (m, K) array."""
+    limbs = np.zeros((m, 4 * -(-w // 4)), np.uint8)
+    limbs[:, :w] = np.frombuffer(raw, np.uint8).reshape(m, w)
+    return limbs.view("<u4")
 
 
 def _widen(law: int, m: int, w: int, w2: int) -> int:
@@ -120,11 +191,11 @@ def _widen(law: int, m: int, w: int, w2: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _packed_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> tuple[bytes, int]:
+def _packed_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> np.ndarray:
     """Multiply the packed law by 1 + x^d mod x^m - 1 for each d in moves.
 
     total is log2 of the count total so far and cap the final limb width.
-    Returns the law's m limbs as bytes, and their width.
+    Returns the law as an (m, K) array of 32-bit digits.
     """
     full = (1 << 8 * w * m) - 1
     for d in moves:
@@ -134,10 +205,10 @@ def _packed_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> tupl
             law, w, full = _widen(law, m, w, w2), w2, (1 << 8 * w2 * m) - 1
         law += law << 8 * w * d
         law = (law & full) + (law >> 8 * w * m)
-    return law.to_bytes(m * w, "little"), w
+    return _limb_digits(law.to_bytes(m * w, "little"), m, w)
 
 
-def _plane_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> tuple[bytes, int]:
+def _plane_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> np.ndarray:
     """`_packed_steps` on an (m, K) uint64 array of 32-bit digits, one row per residue.
 
     The packed limbs, widened to K 32-bit words, are the rows; a step adds two
@@ -147,9 +218,8 @@ def _plane_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> tuple
     outgrows it, and the top digit never carries out: it is at most a count
     (<= 2^total < 2^32K) over 2^(32 (K - 1)).
     """
-    k = -(-w // 4)
-    raw = _widen(law, m, w, 4 * k).to_bytes(4 * k * m, "little")
-    a = np.frombuffer(raw, "<u4").reshape(m, k).astype(np.uint64)
+    a = _limb_digits(law.to_bytes(m * w, "little"), m, w).astype(np.uint64)
+    k = a.shape[1]
     b = np.empty_like(a)
     for i, d in enumerate(moves):
         total += 1
@@ -167,15 +237,16 @@ def _plane_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> tuple
     for t in range(k - 1):
         a[:, t + 1] += a[:, t] >> _DIGIT_BITS
     a &= _DIGIT_MASK
-    return a.astype("<u4").tobytes(), 4 * k
+    return a.astype("<u4")
 
 
-def _walk(entries, m: int, lazy: bool = False) -> list[int]:
-    """Atom counts of the (lazy) signed-sum walk over Z_m, indexed by residue.
+def _walk(entries, m: int, lazy: bool = False) -> tuple[np.ndarray, int]:
+    """The (lazy) signed-sum walk over Z_m as (digits, shift).
 
-    Equal entries are counted first, and each distinct entry is reduced mod m
-    and folded to its class +-e once, so any int entry (negative, or not
-    reduced) steps as its residue.
+    digits is an (m, K) array of 32-bit digits, little end first; the count
+    of residue a is row (a + shift) mod m.  Equal entries are counted first,
+    and each distinct entry is reduced mod m and folded to its class +-e
+    once, so any int entry (negative, or not reduced) steps as its residue.
     """
     steps = 2 if lazy else 1
     classes: Counter[int] = Counter()  # e -> number of entries +-e
@@ -203,17 +274,13 @@ def _walk(entries, m: int, lazy: bool = False) -> list[int]:
             c = c * (j - i) // (i + 1)
         law = int.from_bytes(b"".join(r.to_bytes(w, "little") for r in row), "little")
     steps_on = _plane_steps if moves and m * cap >= _PLANE_BYTES else _packed_steps
-    raw, w = steps_on(law, m, w, total, cap, moves)
-    s = offset % m
-    limbs = [int.from_bytes(raw[i:i + w], "little") for i in range(0, m * w, w)]
-    return limbs[s:] + limbs[:s]
+    return steps_on(law, m, w, total, cap, moves), offset % m
 
 
 def distribution_zp(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     """Exact law of u . v over Z_p; the empty vector gives the point mass at 0."""
     check_table_size(len(v), p)
-    counts = _walk(v.entries, p.p)
-    return ExactDistribution({a: c for a, c in enumerate(counts) if c}, len(v))
+    return ExactDistribution._walked(*_walk(v.entries, p.p), 0, len(v))
 
 
 def distribution_zp_bruteforce(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
@@ -247,8 +314,7 @@ def distribution_int(entries) -> ExactDistribution:
     cells = (2 * radius + 1) * max(len(ents), 1)
     if cells > TABLE_CELL_GUARD:
         raise RangeTooLarge(f"lattice table (2R+1) * n = {cells} exceeds the guard {TABLE_CELL_GUARD}")
-    counts = _walk(ents, 2 * radius + 1)  # counts[-a] is the residue 2R+1-a
-    return ExactDistribution({a: counts[a] for a in range(-radius, radius + 1) if counts[a]}, len(ents))
+    return ExactDistribution._walked(*_walk(ents, 2 * radius + 1), -radius, len(ents))
 
 
 def rho_int(entries) -> RhoResult:
@@ -262,15 +328,19 @@ def distribution_half(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     Counts live over denominator 4^n = 2^{2n}.
     """
     check_table_size(len(v), p)
-    counts = _walk(v.entries, p.p, lazy=True)
-    return ExactDistribution({a: c for a, c in enumerate(counts) if c}, 2 * len(v))
+    return ExactDistribution._walked(*_walk(v.entries, p.p, lazy=True), 0, 2 * len(v))
 
 
 def rho_half(v: ZpVector, p: PrimeModulus) -> RhoResult:
     """Lazy-walk concentration; equals rho(v (+) v) as a value.
 
     (Equality is of maxima, not maximizers: the doubled walk is the lazy walk
-    dilated by 2 mod p, a bijection on atoms.)
+    dilated by 2 mod p, a bijection on atoms.)  For odd prime p it is always
+    atom 0 with count Sum_b P(b)^2 over 4^n, P the plain law's counts: the
+    lazy law at a is (P * P)(2a), and as P is symmetric that is
+    Sum_b P(b) P(b - 2a), which Cauchy-Schwarz maximises only at 2a = 0
+    (equality at 2a != 0 would make P uniform on Z_p, but p does not divide
+    its total 2^n).
     """
     return _max_atom(distribution_half(v, p))
 

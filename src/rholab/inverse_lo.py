@@ -284,9 +284,9 @@ def build_container(
     scratch.  An attempt whose B leaves more than n/4 entries of v outside
     is discarded before rho(v_Y) is walked, since the verifier would reject
     it on that count alone; a certificate is returned only after
-    verify_certificate passes on it.  On exhaustion the verifier's failure
-    list of the last attempt is reported (derived at exhaustion if that
-    attempt was discarded).
+    verify_certificate passes on it.  On exhaustion the error reports how
+    many attempts were discarded that way, and the verifier's failure list of
+    the last attempt (derived at exhaustion if that attempt was discarded).
     """
     v.validate(p)
     if v.support_size < profile.support_floor(p):
@@ -300,12 +300,13 @@ def build_container(
         )
     levels = _levels(v, p, profile)
     last = None  # the verifier's failures, or (Y, U, B and outsideCount) if discarded
+    dropped = 0  # attempts discarded on outsideCount
     for _ in range(profile.max_attempts):
         y = sample_Y_with_attempts(v, p, profile, levels, rng)[0]
         u = sample_U_with_attempts(v, p, profile, levels, rng)[0]
         contained = _contained(v, p, u)
         if 4 * contained[1] > len(v):
-            last = (y, u, contained)
+            last, dropped = (y, u, contained), dropped + 1
             continue
         cert = _certificate(v, p, y, u, contained)
         ok, last = verify_certificate(v, p, profile, cert)
@@ -314,8 +315,8 @@ def build_container(
     if isinstance(last, tuple):
         last = verify_certificate(v, p, profile, _certificate(v, p, *last))[1]
     raise RetryExhausted(
-        f"certificate invariants kept failing after {profile.max_attempts} attempts; "
-        f"last failures: {last}"
+        f"certificate invariants kept failing after {profile.max_attempts} attempts "
+        f"({dropped} dropped on outsideCount before rho(v_Y) was walked); last failures: {last}"
     )
 
 

@@ -57,6 +57,11 @@ def _dp_reference(entries, m, lazy=False):
     return {a: c for a, c in enumerate(counts) if c}
 
 
+def _walk_counts(entries, m, lazy):
+    """The kernel's walk over Z_m as an atom -> count dict, zero atoms omitted."""
+    return ac.ExactDistribution._walked(*ac._walk(entries, m, lazy), 0, 0).counts
+
+
 def _lattice_reference(entries):
     counts = Counter({0: 1})
     for e in entries:
@@ -125,7 +130,7 @@ def test_one_class_join_against_the_list_dp(j):
     even rows, and a row that wraps mod m)."""
     for m, e in ((101, 7), (101, 50), (5, 2)):
         for lazy in (False, True):
-            got = {a: c for a, c in enumerate(ac._walk((e,) * j, m, lazy)) if c}
+            got = _walk_counts((e,) * j, m, lazy)
             assert got == _dp_reference((e,) * j, m, lazy)
 
 
@@ -162,7 +167,7 @@ def test_walk_kernel_tiny_moduli(m, monkeypatch):
         monkeypatch.setattr(ac, "_PLANE_BYTES", plane_bytes)
         for entries in [(), (0,), (1,), (1, 2), (1, 1, 2, 5), (1,) * 99, (1,) * 101, (2,) * 120 + (1,) * 7]:
             for lazy in (False, True):
-                got = {a: c for a, c in enumerate(ac._walk(entries, m, lazy)) if c}
+                got = _walk_counts(entries, m, lazy)
                 assert got == _dp_reference(entries, m, lazy)
 
 
@@ -176,7 +181,7 @@ def test_walk_on_each_side_of_the_switch(plane_bytes, monkeypatch):
         if m <= 101 and i % 3 == 0:
             entries += [int(g.integers(1, 3000))] * int(g.integers(90, 160))
         for lazy in (False, True):
-            got = {a: c for a, c in enumerate(ac._walk(entries, m, lazy)) if c}
+            got = _walk_counts(entries, m, lazy)
             assert got == _dp_reference(entries, m, lazy)
         small = [e % 9 - 4 for e in entries]
         assert ac.distribution_int(small).counts == _lattice_reference(small)
@@ -220,6 +225,58 @@ def test_walk_with_n_much_larger_than_p(plane_moves):
 def test_max_atom_breaks_ties_to_the_smallest_atom():
     r = ac._max_atom(ac.ExactDistribution({9: 3, 4: 5, 7: 5, 1: 2}, 4))
     assert (r.atom, r.count, r.log2_denominator) == (4, 5, 4)
+
+
+def _max_over_counts(d):
+    """The largest atom read off the materialised counts, ties to the smallest atom."""
+    best = max(d.counts.values())
+    return ac.RhoResult(min(a for a, c in d.counts.items() if c == best), best, d.log2_denominator)
+
+
+@pytest.mark.parametrize("entries, p, lazy, digits", [
+    ((), 101, False, 1),                      # the empty vector: one 1-byte limb per atom
+    ((3, 5, 8, 40) * 14, 101, False, 2),      # packed limbs of exactly 8 bytes
+    ((3, 5, 8, 40, 77) * 24, 101, False, 4),  # packed limbs of exactly 16 bytes
+    (tuple(range(1, 129)), 1009, True, 9),    # lazy n = 128 mod 1009: 36-byte limbs on planes
+    ((1, 2) * 100 + (7,) * 150, 101, True, 22),  # planes after a binomial row join
+])
+def test_max_atom_reads_the_digits_like_the_counts(entries, p, lazy, digits):
+    assert ac._walk(entries, p, lazy)[0].shape[1] == digits
+    law = ac.distribution_half if lazy else ac.distribution_zp
+    d = law(ZpVector(entries), PrimeModulus(p))
+    assert ac._max_atom(d) == _max_over_counts(d)
+
+
+def test_max_atom_lattice_tie_goes_to_the_smallest_atom():
+    d = ac.distribution_int((1, 2))
+    assert d.counts == {-3: 1, -1: 1, 1: 1, 3: 1}
+    assert ac._max_atom(d) == ac.rho_int((1, 2)) == ac.RhoResult(-3, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_inputs, st.sampled_from(["plain", "lazy", "lattice"]))
+def test_max_atom_matches_the_counts_on_random_laws(case, kind):
+    p, free, blocks = case
+    entries = free + [e for e, k in blocks for _ in range(k)]
+    if kind == "lattice":
+        d = ac.distribution_int([e % 9 - 4 for e in entries])
+    else:
+        law = ac.distribution_half if kind == "lazy" else ac.distribution_zp
+        d = law(ZpVector(tuple(entries)), PrimeModulus(p))
+    got = ac._max_atom(d)
+    assert got == _max_over_counts(d)
+    assert ac._max_atom(d) == got  # reading the counts leaves the digits as they were
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 101, 1009]),
+       st.lists(st.integers(min_value=-2000, max_value=2000), max_size=40))
+def test_rho_half_is_atom_zero_with_the_squared_plain_law(p, entries):
+    # the lazy law at a is Sum_b P(b) P(b - 2a) for the symmetric plain law P,
+    # largest only at a = 0 by Cauchy-Schwarz
+    P, v = PrimeModulus(p), ZpVector(tuple(entries))
+    plain = ac.distribution_zp(v, P).counts
+    assert ac.rho_half(v, P) == ac.RhoResult(0, sum(c * c for c in plain.values()), 2 * len(v))
 
 
 @pytest.mark.parametrize("n", [512, 1024])

@@ -146,3 +146,23 @@ def test_run_fibre_hands_each_step_the_rho_it_has(monkeypatch):
         for k, step in enumerate(trace.steps[:-1]):
             assert handed[k + 1] == (trace.steps[k + 1].z == step.y)
     assert not all(handed)  # the second vector keeps entries outside Y_k
+
+
+def test_run_fibre_exhaustion_says_how_many_attempts_were_dropped():
+    # step 1 certifies with every entry 34 outside B; at step 2 those 128
+    # entries are more than a quarter of the live ones, so no B that leaves
+    # them out can pass, and every attempt is dropped before rho(v_Y) is walked
+    import pytest
+
+    from rholab.errors import RetryExhausted
+
+    v = ZpVector((17,) * 384 + (34,) * 128)
+    profile = replace(DESK_PROFILE, max_attempts=10)
+    for i in range(3):
+        with pytest.raises(RetryExhausted) as exc:
+            run_fibre(v, P101, profile, substream(36, "quarter", i))
+        assert str(exc.value) == (
+            "step 2: certificate invariants kept failing after 10 attempts "
+            "(10 dropped on outsideCount before rho(v_Y) was walked); "
+            "last failures: ['outsideCount exceeds n/4']"
+        )

@@ -288,7 +288,8 @@ def test_canonical_json_sorts_and_stringifies():
 # Reference copies of the certificate loop and the fibre loop as they were
 # before attempts were discarded on their container: every attempt walks
 # rho(v_Y) and goes through the verifier, and every step checks rho of its
-# live vector afresh.
+# live vector afresh.  The reference error counts the attempts whose
+# outsideCount exceeds n/4, the ones build_container drops unwalked.
 
 
 def _reference_build_container(v, p, profile, rng):
@@ -301,7 +302,7 @@ def _reference_build_container(v, p, profile, rng):
     if rv.value < profile.rho_floor(p):
         raise PreconditionViolated(f"rho(v) = {rv.value} below floor {profile.rho_floor(p)}")
     levels = _levels(v, p, profile)
-    last = None
+    last, outside = None, 0
     for _ in range(profile.max_attempts):
         y = sample_Y_with_attempts(v, p, profile, levels, rng)[0]
         u = sample_U_with_attempts(v, p, profile, levels, rng)[0]
@@ -310,9 +311,10 @@ def _reference_build_container(v, p, profile, rng):
         if ok:
             return cert
         last = failures
+        outside += 4 * cert.measured["outsideCount"] > len(v)
     raise RetryExhausted(
-        f"certificate invariants kept failing after {profile.max_attempts} attempts; "
-        f"last failures: {last}"
+        f"certificate invariants kept failing after {profile.max_attempts} attempts "
+        f"({outside} dropped on outsideCount before rho(v_Y) was walked); last failures: {last}"
     )
 
 

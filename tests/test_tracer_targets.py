@@ -1,19 +1,28 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOAD = PERFBENCH / "workload.py"
 
 
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_name_is_a_rholab_callable():
     # the benchmark's tracer looks each target up with getattr, so a renamed
     # or deleted function would crash its traced run
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("perfbench_tracer", TRACER)
     missing = [
         f"{mod}.{fn}"
         for mod, fn, _, _ in tracer.TARGETS
@@ -41,3 +50,21 @@ def test_every_workload_call_resolves_in_rholab():
     }
     missing = [f"{mod}.{fn}" for mod, fn in sorted(calls) if not hasattr(aliases[mod], fn)]
     assert {"ml", "ac"} <= {mod for mod, _ in calls} and not missing, missing
+
+
+@pytest.mark.parametrize("name", ["matrices", "laws"])
+def test_each_workload_op_calls_every_name_it_exercises(name, tmp_path, monkeypatch):
+    # a traced benchmark run fails when a name in `exercises` records no call,
+    # so a change that routes a call around a traced function fails here first
+    tracer = _load("perfbench_tracer", TRACER)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # workload.py imports it by name
+    workload_module = _load("perfbench_workload", WORKLOAD)
+    workload = workload_module.WORKLOADS[name](
+        np.random.default_rng(0), True, workload_module._Cli(tmp_path))
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        traced.run_op(0, lambda: workload.op(0))
+    finally:
+        traced.uninstall()
+    assert workload.exercises and traced.zero_call_targets(workload.exercises) == []
