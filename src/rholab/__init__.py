@@ -57,7 +57,6 @@ from .matrix_lab import (
     odlyzko_check,
     q_exact,
     rank_mod_p,
-    sample_symmetric,
     singularity_exact,
     singularity_mc_sharded,
 )

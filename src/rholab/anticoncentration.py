@@ -39,11 +39,12 @@ word below 2^63, and K at least doubles whenever the count total outgrows
 it.  A walk with no single step (a constant vector) stays packed.
 
 Both representations end as one (m, K) array of 32-bit digits, one row per
-residue (the packed limbs padded to whole digits), plus the offset.  The
-law keeps that array: `ExactDistribution.counts` turns it into Python ints
-on first read, 64 bits per pass over the rows, and `_max_atom` reads the
-largest atom off the digits, comparing rows from the top digit down, so
-that only the winning row becomes an int.
+residue (the packed limbs padded to whole digits), plus the offset, and
+that is the law: `ExactDistribution` is the frozen record (digits, shift,
+lo, log2_denominator).  `_max_atom` reads the largest atom off the digits,
+comparing rows from the top digit down, so that only the winning row
+becomes an int; `ExactDistribution.counts` turns every row into an int,
+one `int.from_bytes` each, on every read.
 
 The bound side (Halasz chain) is evaluated in doubles from exact level-set
 cardinalities.  All three bounds read one weight table W(k), k in Z_p;
@@ -82,56 +83,34 @@ _DIGIT_BITS = np.uint64(32)
 _DIGIT_MASK = np.uint64(2**32 - 1)
 
 
+@dataclass(frozen=True, eq=False)
 class ExactDistribution:
-    """Exact law of a signed sum as atom -> count over 2^log2_denominator.
+    """Exact law of a signed sum over 2^log2_denominator, as the walk leaves it.
 
-    Atoms are canonical residues for the Z_p walk and plain integers for the
-    lattice walk.  Counts always sum to the full denominator.  A walked law
-    keeps the walk's (m, K) digit array, in which atom lo + j is row
-    (lo + j + shift) mod m, and builds `counts` from it on first read; a law
-    built from a counts dict gets digits only when `_max_atom` asks for them.
-    Two laws are equal when their counts and denominators are.
+    digits is an (m, K) array of 32-bit digits, little end first, one row per
+    residue of Z_m: the count of atom lo + j is row (lo + j + shift) mod m.
+    Atoms are canonical residues for the Z_p walk (lo = 0) and plain integers
+    for the lattice walk.  Counts always sum to the full denominator.  Two
+    laws are equal when their counts and denominators are.
     """
 
-    __slots__ = ("log2_denominator", "_counts", "_law")
-    __hash__ = None
-
-    def __init__(self, counts: dict[int, int], log2_denominator: int):
-        self.log2_denominator = log2_denominator
-        self._counts = counts
-        self._law = None  # (digits, shift, lo)
-
-    @classmethod
-    def _walked(cls, digits: np.ndarray, shift: int, lo: int, log2_denominator: int):
-        dist = cls(None, log2_denominator)
-        dist._law = digits, shift, lo
-        return dist
+    digits: np.ndarray
+    shift: int
+    lo: int
+    log2_denominator: int
 
     @property
     def counts(self) -> dict[int, int]:
-        if self._counts is None:
-            digits, shift, lo = self._law
-            first = (lo + shift) % len(digits)
-            rows = _unpack(np.concatenate((digits[first:], digits[:first])))
-            self._counts = {lo + j: c for j, c in enumerate(rows) if c}
-        return self._counts
-
-    def _digits(self) -> tuple[np.ndarray, int, int]:
-        """(digits, shift, lo), packed from the counts dict on first call if need be."""
-        if self._law is None:
-            lo, hi = min(self._counts), max(self._counts)
-            k = max(c.bit_length() for c in self._counts.values()) // 32 + 1
-            raw = b"".join(self._counts.get(a, 0).to_bytes(4 * k, "little") for a in range(lo, hi + 1))
-            self._law = np.frombuffer(raw, "<u4").reshape(hi - lo + 1, k), -lo, lo
-        return self._law
+        """atom -> count in atom order, zero atoms omitted: one int.from_bytes per row."""
+        w = 4 * self.digits.shape[1]
+        raw = np.roll(self.digits, -(self.lo + self.shift), axis=0).tobytes()
+        rows = [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+        return {self.lo + j: c for j, c in enumerate(rows) if c}
 
     def __eq__(self, other):
         if not isinstance(other, ExactDistribution):
             return NotImplemented
         return (self.counts, self.log2_denominator) == (other.counts, other.log2_denominator)
-
-    def __repr__(self):
-        return f"ExactDistribution({self.counts!r}, {self.log2_denominator})"
 
 
 @dataclass(frozen=True)
@@ -153,7 +132,7 @@ class RhoResult:
 
 def _max_atom(dist: ExactDistribution) -> RhoResult:
     """The largest atom: rows compared from the top digit down, ties to the smallest atom."""
-    digits, shift, lo = dist._digits()
+    digits, shift, lo = dist.digits, dist.shift, dist.lo
     m, k = digits.shape
     best = np.arange(m)
     for t in range(k - 1, -1, -1):
@@ -162,18 +141,6 @@ def _max_atom(dist: ExactDistribution) -> RhoResult:
     j = int(((best - lo - shift) % m).min())
     count = int.from_bytes(digits[(lo + j + shift) % m].tobytes(), "little")
     return RhoResult(lo + j, count, dist.log2_denominator)
-
-
-def _unpack(digits: np.ndarray) -> list[int]:
-    """Rows of an (m, K) array of 32-bit digits as Python ints, 64 bits per pass."""
-    m, k = digits.shape
-    pairs = np.zeros((m, k + k % 2), "<u4")
-    pairs[:, :k] = digits
-    words = pairs.view("<u8")
-    rows = words[:, -1].tolist()
-    for t in range(words.shape[1] - 2, -1, -1):
-        rows = [hi << 64 | w for hi, w in zip(rows, words[:, t].tolist())]
-    return rows
 
 
 def _limb_digits(raw: bytes, m: int, w: int) -> np.ndarray:
@@ -280,26 +247,29 @@ def _walk(entries, m: int, lazy: bool = False) -> tuple[np.ndarray, int]:
 def distribution_zp(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     """Exact law of u . v over Z_p; the empty vector gives the point mass at 0."""
     check_table_size(len(v), p)
-    return ExactDistribution._walked(*_walk(v.entries, p.p), 0, len(v))
+    return ExactDistribution(*_walk(v.entries, p.p), 0, len(v))
 
 
 def distribution_zp_bruteforce(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
-    """Independent oracle: enumerate all 2^n sign vectors (n <= ~20).
+    """Independent oracle: enumerate all 2^n sign vectors (n <= 24).
 
     Kept free of the packed kernel on purpose; acceptance checks compare
-    the two atom-for-atom.
+    the two atom-for-atom.  Every count is at most 2^24, so one 32-bit
+    digit per residue holds it.
     """
     n = len(v)
     if n > 24:
         raise GuardExceeded("brute-force enumeration limited to n <= 24")
-    counts: dict[int, int] = {}
+    check_table_size(n, p)
+    counts: Counter[int] = Counter()
     for mask in range(1 << n):
         s = 0
         for i, e in enumerate(v.entries):
             s += e if (mask >> i) & 1 else -e
-        a = s % p.p
-        counts[a] = counts.get(a, 0) + 1
-    return ExactDistribution(counts, n)
+        counts[s % p.p] += 1
+    col = np.zeros((p.p, 1), "<u4")
+    col[list(counts), 0] = list(counts.values())
+    return ExactDistribution(col, 0, 0, n)
 
 
 def rho(v: ZpVector, p: PrimeModulus) -> RhoResult:
@@ -314,7 +284,7 @@ def distribution_int(entries) -> ExactDistribution:
     cells = (2 * radius + 1) * max(len(ents), 1)
     if cells > TABLE_CELL_GUARD:
         raise RangeTooLarge(f"lattice table (2R+1) * n = {cells} exceeds the guard {TABLE_CELL_GUARD}")
-    return ExactDistribution._walked(*_walk(ents, 2 * radius + 1), -radius, len(ents))
+    return ExactDistribution(*_walk(ents, 2 * radius + 1), -radius, len(ents))
 
 
 def rho_int(entries) -> RhoResult:
@@ -328,7 +298,7 @@ def distribution_half(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     Counts live over denominator 4^n = 2^{2n}.
     """
     check_table_size(len(v), p)
-    return ExactDistribution._walked(*_walk(v.entries, p.p, lazy=True), 0, 2 * len(v))
+    return ExactDistribution(*_walk(v.entries, p.p, lazy=True), 0, 2 * len(v))
 
 
 def rho_half(v: ZpVector, p: PrimeModulus) -> RhoResult:
@@ -358,7 +328,7 @@ def level_counts(v: ZpVector, p: PrimeModulus) -> np.ndarray:
 def halasz_first_bound(weights: np.ndarray, p: PrimeModulus) -> float:
     """(1/p) Sum_k exp(-W(k)/p^2) with W(k) exact; upper bounds rho(v)."""
     pp = float(p.p * p.p)
-    return sum(math.exp(-w / pp) for w in weights.tolist()) / p.p
+    return sum(map(math.exp, (-weights / pp).tolist())) / p.p
 
 
 def halasz_second_bound(weights: np.ndarray, ell, p: PrimeModulus) -> float:

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .anticoncentration import RhoResult, rho
+from .anticoncentration import FLOAT_SLACK, RhoResult, rho
 from .containers import ContainerSet, container, frequency_set, level_set
 from .errors import PreconditionViolated, RetryExhausted
 from .harness import canonical_json
@@ -352,7 +352,7 @@ def verify_certificate(
     if float(ell) >= 4 * math.log(p.p) and rho(v, p).value >= Fraction(4, p.p):
         size_ell_y = len(level_set(v.restrict(y), ell, p))
         app_bound = 2**13 * size_ell_y / (p.p * math.sqrt(v.support_size))
-        if float(fresh.rho_vy.value) > app_bound + 1e-12:
+        if float(fresh.rho_vy.value) > app_bound + FLOAT_SLACK:
             failures.append("Halasz application bound violated")
     if cert.b != fresh.b:
         failures.append("B is not the container of F(v_U)")

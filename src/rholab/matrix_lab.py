@@ -76,14 +76,6 @@ _FLOAT_STEPS = 13
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def sample_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric n x n sign matrix from one draw of its n(n+1)/2 upper entries."""
-    if n < 1:
-        raise PreconditionViolated("n must be >= 1")
-    bits = rng.integers(0, 2, size=(1, n * (n + 1) // 2), dtype=np.int64)
-    return _bits_to_sym(bits, n)[0]
-
-
 # ---------------------------------------------------------------------------
 # Exact determinants: Bareiss (big-int) and CRT (residues past Hadamard).
 # ---------------------------------------------------------------------------

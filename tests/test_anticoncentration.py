@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rholab import anticoncentration as ac
+from rholab.acceptance import SMALL_PRIMES
 from rholab.errors import GuardExceeded, PreconditionViolated, RangeTooLarge
 from rholab.rng import substream
 from rholab.zp_core import PrimeModulus, ZpVector, next_prime
@@ -40,12 +41,17 @@ def test_distribution_matches_bruteforce():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=6), max_size=9))
-def test_distribution_total_and_oracle(entries):
+@given(st.sampled_from(SMALL_PRIMES), st.data())
+def test_distribution_total_and_oracle(p, data):
+    # criterion 1's primes and sizes (n <= 12): the oracle's one-digit column
+    # and the walk's digits are equal laws with one largest atom
+    P = PrimeModulus(p)
+    entries = data.draw(st.lists(st.integers(0, p - 1), max_size=12))
     v = ZpVector(tuple(entries))
-    d = ac.distribution_zp(v, P7)
+    d, brute = ac.distribution_zp(v, P), ac.distribution_zp_bruteforce(v, P)
     assert sum(d.counts.values()) == 2 ** len(entries)
-    assert d.counts == ac.distribution_zp_bruteforce(v, P7).counts
+    assert d == brute and d.counts == brute.counts
+    assert ac._max_atom(d) == ac._max_atom(brute)
 
 
 def _dp_reference(entries, m, lazy=False):
@@ -59,7 +65,7 @@ def _dp_reference(entries, m, lazy=False):
 
 def _walk_counts(entries, m, lazy):
     """The kernel's walk over Z_m as an atom -> count dict, zero atoms omitted."""
-    return ac.ExactDistribution._walked(*ac._walk(entries, m, lazy), 0, 0).counts
+    return ac.ExactDistribution(*ac._walk(entries, m, lazy), 0, 0).counts
 
 
 def _lattice_reference(entries):
@@ -222,11 +228,6 @@ def test_walk_with_n_much_larger_than_p(plane_moves):
     assert elapsed < 0.5, f"both walks took {elapsed:.3f} s, budget 0.5 s"
 
 
-def test_max_atom_breaks_ties_to_the_smallest_atom():
-    r = ac._max_atom(ac.ExactDistribution({9: 3, 4: 5, 7: 5, 1: 2}, 4))
-    assert (r.atom, r.count, r.log2_denominator) == (4, 5, 4)
-
-
 def _max_over_counts(d):
     """The largest atom read off the materialised counts, ties to the smallest atom."""
     best = max(d.counts.values())
@@ -251,6 +252,10 @@ def test_max_atom_lattice_tie_goes_to_the_smallest_atom():
     d = ac.distribution_int((1, 2))
     assert d.counts == {-3: 1, -1: 1, 1: 1, 3: 1}
     assert ac._max_atom(d) == ac.rho_int((1, 2)) == ac.RhoResult(-3, 1, 2)
+    # a Z_p tie that wraps: the shift puts atom 4 = -1 in row 0 and atom 1 in row 2
+    d = ac.distribution_zp(ZpVector((1,)), P5)
+    assert (d.counts, d.shift) == ({1: 1, 4: 1}, 1)
+    assert ac._max_atom(d) == ac.rho(ZpVector((1,)), P5) == ac.RhoResult(1, 1, 1)
 
 
 @settings(max_examples=60, deadline=None)

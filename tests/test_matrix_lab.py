@@ -22,33 +22,6 @@ P7 = PrimeModulus(7)
 P64 = 2**64 - 59  # the largest prime below 2^64
 
 
-def test_sample_symmetric_basics():
-    g = substream(51, "sym", 0)
-    m = ml.sample_symmetric(1, g)
-    assert m[0, 0] in (-1, 1)
-    arr = ml.sample_symmetric(6, substream(51, "sym", 1))
-    assert (arr == arr.T).all()
-    assert set(np.unique(arr)) <= {-1, 1}
-
-
-def test_sample_symmetric_reproducible():
-    a = ml.sample_symmetric(5, substream(51, "rep", 3))
-    b = ml.sample_symmetric(5, substream(51, "rep", 3))
-    assert (a == b).all()
-
-
-def test_entry_mean_clt_band():
-    # 10^5 free entries drawn through the sampler itself
-    total = 0
-    count = 0
-    for i in range(2300):
-        upper = ml.sample_symmetric(9, substream(51, "clt", i))[np.triu_indices(9)]
-        total += int(upper.sum())
-        count += upper.size
-    assert count >= 90000
-    assert abs(total / count) < 4 / math.sqrt(count)
-
-
 def test_det_exact_examples():
     assert ml.det_exact([[1]]) in (-1, 1)
     assert ml.det_exact([[1, 1], [1, 1]]) == 0
@@ -59,7 +32,7 @@ def test_det_exact_crt_vs_bareiss():
     for i in range(1000):
         g = substream(52, "det", i)
         n = int(g.integers(1, 9))
-        m = ml.sample_symmetric(n, g)
+        m = ml._bits_to_sym(g.integers(0, 2, size=(1, n * (n + 1) // 2)), n)[0]
         assert ml.det_exact(m) == ml.det_bareiss(m)
 
 

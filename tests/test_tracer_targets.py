@@ -68,3 +68,11 @@ def test_each_workload_op_calls_every_name_it_exercises(name, tmp_path, monkeypa
     finally:
         traced.uninstall()
     assert workload.exercises and traced.zero_call_targets(workload.exercises) == []
+
+
+def test_the_benchmarks_planted_fault_finds_its_line():
+    # perfbench's fault test makes the singular count wrong by rewriting this
+    # one line of matrix_lab.py; a refactor that rewords it would leave that
+    # test unable to plant its fault
+    lab = Path(__file__).resolve().parents[1] / "src" / "rholab" / "matrix_lab.py"
+    assert lab.read_text().count("        return int(flagged.size)\n") == 1
