@@ -9,7 +9,7 @@ elimination of B is exact integer arithmetic in float for its first 13
 steps (Hadamard's bound on 0/1 minors keeps every value below 2^53, and
 below 2^24 for the first 11 steps, which run in float32), which decides
 n <= 15; past that, the trailing block gets its rank modulo the prime
-2^20 + 7 and any block flagged there is confirmed with an exact integer
+16381 and any block flagged there is confirmed with an exact integer
 determinant.
 The long-run comparison target is the folklore value n^2 2^{1-n} (two equal
 rows/columns up to sign).

@@ -19,9 +19,13 @@ n >= 16 the trailing (n-14)-square block T of the others holds 14-order
 minors, at most 15^{15/2} / 2^14; Sylvester's identity gives
 det T = +-det(B_13)^{n-15} det B (rows swapped) with the leading block B_13
 nonsingular, so T's rank modulo _BLOCK_PRIME flags every singular B, and
-Bareiss on T in Python ints confirms or clears each flag.  So Monte Carlo
-counts are exact counts.  The CRT determinant det_exact is an independent
-cross-check of Bareiss, not part of the count.
+Bareiss on T in Python ints confirms or clears each flag.  _BLOCK_PRIME =
+16381 lies above Hadamard's bound 14^7 / 2^13 on det B_13, so a nonsingular
+B is flagged only when p | det B, about one matrix in p.  So Monte Carlo
+counts are exact counts.  A Monte Carlo block's bits are numpy's bounded
+draw g.integers(0, 2), read off Philox's raw words (_bit_chunks).  The CRT
+determinant det_exact is an independent cross-check of Bareiss, not part of
+the count.
 
 Number formats: per-matrix work (determinants, ranks, RREF, inverses,
 adjugates, identity checks) reads every entry with int() into Python ints,
@@ -38,6 +42,7 @@ rejects bits outside {0, 1}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +61,9 @@ from .rng import substream
 from .zp_core import PrimeModulus, ZpVector, is_prime_u64
 
 _CRT_START = 2**31 - 1  # Mersenne prime: the first CRT prime of det_exact
-_BLOCK_PRIME = 2**20 + 7  # prime below 2^26 (float64 ranks); p - 2 has 3 set bits
+# The largest prime below 2^14: above Hadamard's bound 14^7 / 2^13 on 13-order
+# 0/1 minors, and small enough for a table of its inverses (see _inverse_mod).
+_BLOCK_PRIME = 16381
 _DET_GUARD = 64
 _EXACT_ENUM_GUARD = 6
 _MATCH_GUARD = 4
@@ -225,11 +232,14 @@ def rref_mod_p(mat, p: PrimeModulus | int) -> tuple[list[list[int]], list[int]]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _packed_positions(n: int) -> np.ndarray:
-    """(n, n) index of each entry's bit in the packed row-major upper triangle."""
+    """(n, n) index of each entry's bit in the packed row-major upper
+    triangle; one read-only array per n."""
     rows, cols = np.triu_indices(n)
     pos = np.empty((n, n), dtype=np.intp)
     pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    pos.flags.writeable = False
     return pos
 
 
@@ -248,14 +258,17 @@ def _float_bareiss(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _FLOAT32_STEPS steps in float32 (half the memory traffic), the rest in
     float64.
 
-    At each step a matrix swaps in its first nonzero pivot of the column.
-    One with none is singular; it stays in the batch with its previous
-    pivot standing in, so the step only drops its zero column and first row
+    At each step a matrix whose corner is 0 swaps in the first nonzero
+    pivot of its column; only those matrices' columns are searched.  One
+    with none is singular; it stays in the batch with its previous pivot
+    standing in, so the step only drops its zero column and first row
     (every later value is still a 0/1 minor within the bound).  Every
     trailing entry becomes (a_kk a_ij - a_ik a_kj) / (previous pivot), the
-    cross products going to one scratch buffer.  Returns the batch indices
-    of the singular matrices, ascending, and the trailing blocks of the
-    rest: 1 x 1 blocks (0 x 0 when n = 0) that all hold a nonzero
+    cross products going to one scratch buffer.  The first pivot of a 0/1
+    matrix is 1 (a nonzero entry, or the stand-in 1), so step 0 skips the
+    product by a_kk and steps 0 and 1 skip the division.  Returns the batch
+    indices of the singular matrices, ascending, and the trailing blocks of
+    the rest: 1 x 1 blocks (0 x 0 when n = 0) that all hold a nonzero
     determinant when n <= _FLOAT_STEPS + 1, otherwise
     (n - _FLOAT_STEPS)-square blocks T with det T = 0 iff det A = 0
     (Sylvester's identity; the leading pivot block is nonsingular).
@@ -268,25 +281,28 @@ def _float_bareiss(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if k == _FLOAT32_STEPS:
             a, prev = a.astype(np.float64), prev.astype(np.float64)
             buf = np.empty_like(a)
-        nz = a[:, 0] != 0
-        has = nz.any(axis=0)
-        if not has.all():
-            lack = np.flatnonzero(~has)
-            singular[lack] = True
-            a[0, 0, lack] = prev[lack]
-        if k == steps:
-            break
         sw = np.flatnonzero(a[0, 0] == 0)
         if sw.size:
-            r = nz[:, sw].argmax(axis=0)
-            a[0, :, sw], a[r, :, sw] = a[r, :, sw], a[0, :, sw]
+            nz = a[:, 0, sw] != 0
+            has = nz.any(axis=0)
+            if not has.all():
+                lack = sw[~has]
+                singular[lack] = True
+                a[0, 0, lack] = prev[lack]
+            if k < steps:  # a lacking column's argmax is row 0: it stays
+                r = nz.argmax(axis=0)
+                a[0, :, sw], a[r, :, sw] = a[r, :, sw], a[0, :, sw]
+        if k == steps:
+            break
         pivot = a[0, 0].copy()
         m = len(a) - 1
         cross = np.multiply(a[1:, :1], a[:1, 1:], out=buf[:m, :m])
         a = a[1:, 1:]
-        a *= pivot
+        if k:
+            a *= pivot
         a -= cross
-        a /= prev
+        if k > 1:
+            a /= prev
         prev = pivot
     flagged = np.flatnonzero(singular)
     return flagged, np.take(a, np.flatnonzero(~singular), axis=2) if flagged.size else a
@@ -302,7 +318,19 @@ def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Inverses of the reduced residues x, all nonzero mod p, as x^(p-2)."""
+    """Inverses of the reduced residues x, all nonzero mod p.
+
+    _BLOCK_PRIME, the prime of every Monte Carlo trailing block, reads them
+    from a table of its p inverses; a negative residue r indexes from the
+    end, at p + r.  Any other prime takes x^(p-2) by squaring, as a table
+    for every prime below 2^26 would take up to 512 MiB.
+    """
+    if p == _BLOCK_PRIME:
+        return _block_inverses()[x.astype(np.intp)]
+    return _fermat_inverse(x, p)
+
+
+def _fermat_inverse(x: np.ndarray, p: int) -> np.ndarray:
     inv = np.ones_like(x)
     e = p - 2
     while e:
@@ -313,6 +341,16 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
         if e:
             x = _reduce_mod(x * x, p)
     return inv
+
+
+@functools.cache
+def _block_inverses() -> np.ndarray:
+    """The float64 table of r^-1 mod _BLOCK_PRIME at index r (128 KiB;
+    index 0 is unused)."""
+    table = np.zeros(_BLOCK_PRIME)
+    table[1:] = _fermat_inverse(np.arange(1.0, _BLOCK_PRIME), _BLOCK_PRIME)
+    table.flags.writeable = False
+    return table
 
 
 def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
@@ -483,7 +521,7 @@ def _switched_complement(bits: np.ndarray, pos: np.ndarray) -> np.ndarray:
     an odd number of the four bits is 1, that is when B_ij = 1.  Subtracting
     the first row from the others leaves -2 B beside the corner 1.
     """
-    b = np.ascontiguousarray(bits.astype(np.uint8).T)
+    b = np.ascontiguousarray(bits.astype(np.uint8, copy=False).T)
     first = b[pos[0]]
     c = b[pos[1:, 1:]]
     c ^= first[1:, None]
@@ -503,16 +541,29 @@ def _sub_batch_singular(n: int, bits: np.ndarray, pos: np.ndarray) -> int:
     return int(flagged.size) + sum(1 for i in suspects if det_bareiss(t[i]) == 0)
 
 
+def _bit_chunks(g: np.random.Generator, size: int, m: int):
+    """The rows of g.integers(0, 2, size=(size, m), dtype=np.int64), as
+    uint8 chunks of at most _SUB_BATCH rows, read off Philox's raw words.
+
+    For the range 2, numpy's bounded draw (Lemire's method) keeps the top
+    bit of a 32-bit draw, and Philox hands out each 64-bit word low half
+    first.  So word w gives the bits (w >> 31) & 1, then w >> 63; the "<u4"
+    view of the "<u8" words takes the halves in that order on any host.
+    _SUB_BATCH is even, so only the last chunk can end on half a word.
+    """
+    for start in range(0, size, _SUB_BATCH):
+        need = min(_SUB_BATCH, size - start) * m
+        words = g.bit_generator.random_raw((need + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")[:need]
+        yield (halves >> 31).astype(np.uint8).reshape(-1, m)
+
+
 def _mc_block_task(args) -> int:
     n, master_seed, block_idx, block_size = args
     g = substream(master_seed, f"singularity-mc:n={n}", block_idx)
-    # Successive int64 draws continue one stream, so these chunks are the rows
-    # of one (block_size, n(n+1)/2) draw; only one chunk is held at a time.
-    count = 0
-    for start in range(0, block_size, _SUB_BATCH):
-        rows = min(_SUB_BATCH, block_size - start)
-        count += singular_count_block(n, g.integers(0, 2, size=(rows, n * (n + 1) // 2), dtype=np.int64))
-    return count
+    # The chunks are the rows of one (block_size, n(n+1)/2) bounded draw;
+    # only one chunk is held at a time.
+    return sum(singular_count_block(n, bits) for bits in _bit_chunks(g, block_size, n * (n + 1) // 2))
 
 
 def singularity_mc_sharded(
@@ -522,7 +573,8 @@ def singularity_mc_sharded(
 
     Block i always draws from substream (seed, "singularity-mc:n=<n>", i), so
     the result is byte-identical for every worker count; workers only change
-    scheduling.  Blocks hold _MC_BLOCK trials each, the last one fewer.
+    scheduling.  Blocks hold _MC_BLOCK trials each, the last one fewer.  The
+    pool has at most one worker per block, and one block runs in process.
     """
     if n < 1:
         raise PreconditionViolated("n must be >= 1")
@@ -532,6 +584,7 @@ def singularity_mc_sharded(
         raise PreconditionViolated("trials must be positive")
     starts = range(0, trials, _MC_BLOCK)
     tasks = [(n, master_seed, i, min(_MC_BLOCK, trials - s)) for i, s in enumerate(starts)]
+    workers = min(workers, len(tasks))
     if workers <= 1:
         counts = [_mc_block_task(t) for t in tasks]
     else:

@@ -190,12 +190,24 @@ def test_batch_rank_either_side_of_the_float64_bound(p):
                 assert ml.batch_rank_mod_p(mats, p).tolist() == [ml.rank_mod_p(m, p) for m in mats]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 101, 2**20 + 7, 2**25 + 35, 2**26 - 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 101, ml._BLOCK_PRIME, 2**20 + 7, 2**25 + 35, 2**26 - 5])
 def test_inverse_mod(p):
     x = np.unique(np.linspace(1, p - 1, 300).astype(np.int64))
     x = np.where(x > p // 2, x - p, x)  # float64 residues may be centred, so negative
     inv = ml._inverse_mod(x.astype(np.float64), p).astype(np.int64)
     assert (x * inv % p == 1).all()
+
+
+def test_block_prime_inverse_table():
+    # above Hadamard's bound on 13-order 0/1 minors, so the leading pivot
+    # block of a trailing block is never singular mod p
+    p = ml._BLOCK_PRIME
+    assert is_prime_u64(p) and p < 2**14 and p * 2**13 > 14**7
+    # every residue _reduce_mod can leave, negative ones included
+    r = np.arange(-(p // 2 + 2), p // 2 + 3)
+    r = r[r != 0]
+    inv = ml._inverse_mod(r.astype(np.float64), p).astype(np.int64)
+    assert (r * inv % p == 1).all()
 
 
 def test_plain_int_moduli_must_be_prime():
@@ -314,6 +326,14 @@ def _det_and_complement_det(bits: list[int]) -> tuple[int, int, int]:
 def test_switched_complement_scales_the_determinant(bits):
     n, det_m, det_b = _det_and_complement_det(bits)
     assert det_m in (2 ** (n - 1) * det_b, -(2 ** (n - 1)) * det_b)
+
+
+def test_packed_positions_are_one_read_only_array_per_n():
+    for n in (1, 5, 20):
+        pos = ml._packed_positions(n)
+        assert ml._packed_positions(n) is pos and not pos.flags.writeable
+        with pytest.raises(ValueError):
+            pos[0, 0] = 1
 
 
 def test_switched_complement_at_n_one_and_two():
@@ -492,16 +512,17 @@ def test_singular_count_block_takes_bits_of_any_dtype(dtype):
     assert ml.singular_count_block(5, bits[:0].astype(dtype)) == 0
 
 
-@pytest.mark.parametrize("n", [12, 20, 40])
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 12, 20, 40])
 def test_monte_carlo_chunks_continue_one_stream(n):
-    # _mc_block_task draws its block in _SUB_BATCH-row int64 chunks; numpy's
-    # int64 draws continue the stream, so the chunks are the one-shot rows
-    size, m = 2 * ml._SUB_BATCH + 5, n * (n + 1) // 2
-    whole = substream(54, "chunks", n).integers(0, 2, size=(size, m), dtype=np.int64)
-    g = substream(54, "chunks", n)
-    chunks = [g.integers(0, 2, size=(min(ml._SUB_BATCH, size - s), m), dtype=np.int64)
-              for s in range(0, size, ml._SUB_BATCH)]
-    assert np.array_equal(np.vstack(chunks), whole)
+    # _mc_block_task reads its bits off Philox's raw words; they must be the
+    # rows of numpy's one-shot bounded draw, so a numpy release that changes
+    # its bounded method fails here (odd m ends the last chunk on half a word)
+    m = n * (n + 1) // 2
+    for size in (1, 7, 1023, 1024, 1025, 2 * 1024 + 5):
+        whole = substream(54, "chunks", n).integers(0, 2, size=(size, m), dtype=np.int64)
+        chunks = list(ml._bit_chunks(substream(54, "chunks", n), size, m))
+        assert all(c.dtype == np.uint8 and 0 < len(c) <= ml._SUB_BATCH for c in chunks)
+        assert np.array_equal(np.vstack(chunks), whole)
 
 
 def test_monte_carlo_block_counts_the_one_shot_draw():
@@ -536,6 +557,33 @@ def test_singularity_mc_sharded_worker_invariant():
     a = ml.singularity_mc_sharded(3, 30000, 99, workers=1)
     b = ml.singularity_mc_sharded(3, 30000, 99, workers=2)
     assert a.singular_count == b.singular_count
+
+
+def test_singularity_mc_pool_has_one_worker_per_block(monkeypatch):
+    import multiprocessing
+
+    asked = []
+
+    class RecordingPool:  # runs the blocks in process; starts no process
+        def __init__(self, workers):
+            asked.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, f, tasks):
+            return [f(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    want = ml.singularity_mc_sharded(3, 500, 99, workers=1).singular_count
+    assert ml.singularity_mc_sharded(3, 500, 99, workers=64).singular_count == want
+    assert asked == []  # one block runs in process
+    want = ml.singularity_mc_sharded(3, 45000, 99, workers=1).singular_count
+    assert ml.singularity_mc_sharded(3, 45000, 99, workers=8).singular_count == want
+    assert asked == [3]
 
 
 def test_match_probability_examples():
