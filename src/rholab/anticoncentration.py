@@ -10,22 +10,23 @@ exactly: atom counts are big integers over the implicit denominator 2^n
 comparison between two such probabilities is an integer comparison; no atom
 probability is ever a float.
 
-One kernel, `_walk`, builds all three laws.  It holds the law over Z_m as
-one Python int with one byte-aligned limb per residue (Kronecker
-substitution), so the count of residue j is the j-th limb.  Limbs never
-carry: each is wider than log2 of the count total, and at least doubles in
-width (one byte-level repack) whenever that total outgrows it.  A step by
-+-e multiplies by x^e + x^-e = x^-e (1 + x^2e) mod x^m - 1, which is one
-shift, one add and a fold of the high limbs onto the low ones; the x^-e
-factors add up to one offset applied on unpacking.  A lazy step,
+One kernel, `_walk`, builds all three laws from entry -> multiplicity
+counts (a vector's classes; the walk counts no entries itself).  It holds
+the law over Z_m as one Python int with one byte-aligned limb per residue
+(Kronecker substitution), so the count of residue j is the j-th limb.
+Limbs never carry: each is wider than log2 of the count total, and at least
+doubles in width (one byte-level repack) whenever that total outgrows it.
+A step by +-e multiplies by x^e + x^-e = x^-e (1 + x^2e) mod x^m - 1, which
+is one shift, one add and a fold of the high limbs onto the low ones; the
+x^-e factors add up to one offset applied on unpacking.  A lazy step,
 x^e + 2 + x^-e = x^-e (1 + x^e)^2, is two steps by x^e.  Classes of equal
 +-e are taken largest first.  While the law is still one atom, a class of
 k >= _BLOCK entries joins in one go: the law becomes the binomial row of
 (1 + x^2e)^k (lazy: (1 + x^e)^2k) times that atom's count, packed, with each
-C(j, i) = C(j, j - i) computed once for both ends of the row; against a
-law of many atoms the product with that row costs more than the k steps.  The lattice walk over Z is the walk
-over Z_m for m = 2R + 1, R = Sum |v_i|: it never leaves [-R, R], so nothing
-wraps.
+C(j, i) = C(j, j - i) computed once for both ends of the row; against a law
+of many atoms the product with that row costs more than the k steps.  The
+lattice walk over Z is the walk over Z_m for m = 2R + 1, R = Sum |v_i|: it
+never leaves [-R, R], so nothing wraps.
 
 The single steps run on one of two representations, chosen once per walk by
 the final law size m * cap (cap = the limb bytes of the final count total).
@@ -131,13 +132,16 @@ class RhoResult:
 
 
 def _max_atom(dist: ExactDistribution) -> RhoResult:
-    """The largest atom: rows compared from the top digit down, ties to the smallest atom."""
+    """The largest atom: rows compared from the top digit down, ties to the smallest
+    atom; one row left, or two equal ones (a pair +-a), settles it early."""
     digits, shift, lo = dist.digits, dist.shift, dist.lo
     m, k = digits.shape
     best = np.arange(m)
     for t in range(k - 1, -1, -1):
         col = digits[best, t]
         best = best[col == col.max()]
+        if len(best) == 1 or len(best) == 2 and (digits[best[0], :t] == digits[best[1], :t]).all():
+            break
     j = int(((best - lo - shift) % m).min())
     count = int.from_bytes(digits[(lo + j + shift) % m].tobytes(), "little")
     return RhoResult(lo + j, count, dist.log2_denominator)
@@ -207,21 +211,21 @@ def _plane_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> np.nd
     return a.astype("<u4")
 
 
-def _walk(entries, m: int, lazy: bool = False) -> tuple[np.ndarray, int]:
-    """The (lazy) signed-sum walk over Z_m as (digits, shift).
+def _walk(counts, m: int, lazy: bool = False) -> tuple[np.ndarray, int]:
+    """The (lazy) signed-sum walk over Z_m of entry -> multiplicity counts, as (digits, shift).
 
     digits is an (m, K) array of 32-bit digits, little end first; the count
-    of residue a is row (a + shift) mod m.  Equal entries are counted first,
-    and each distinct entry is reduced mod m and folded to its class +-e
-    once, so any int entry (negative, or not reduced) steps as its residue.
+    of residue a is row (a + shift) mod m.  Each distinct entry is reduced
+    mod m and folded to its class +-e once, so any int entry (negative, or
+    not reduced) steps as its residue.
     """
     steps = 2 if lazy else 1
     classes: Counter[int] = Counter()  # e -> number of entries +-e
-    for e, k in Counter(entries).items():
+    for e, k in counts.items():
         r = e % m
         classes[min(r, m - r)] += k
+    cap = steps * sum(classes.values()) // 8 + 1  # limb bytes for the final total
     total = steps * classes.pop(0, 0)  # log2 of the count total so far
-    cap = steps * len(entries) // 8 + 1  # limb bytes for the final total
     law, offset, w = 1 << total, 0, total // 8 + 1
     moves: list[int] = []  # the shift d of every single step, in order
     for e, k in classes.most_common():
@@ -247,7 +251,7 @@ def _walk(entries, m: int, lazy: bool = False) -> tuple[np.ndarray, int]:
 def distribution_zp(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     """Exact law of u . v over Z_p; the empty vector gives the point mass at 0."""
     check_table_size(len(v), p)
-    return ExactDistribution(*_walk(v.entries, p.p), 0, len(v))
+    return ExactDistribution(*_walk(v.classes, p.p), 0, len(v))
 
 
 def distribution_zp_bruteforce(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
@@ -284,7 +288,7 @@ def distribution_int(entries) -> ExactDistribution:
     cells = (2 * radius + 1) * max(len(ents), 1)
     if cells > TABLE_CELL_GUARD:
         raise RangeTooLarge(f"lattice table (2R+1) * n = {cells} exceeds the guard {TABLE_CELL_GUARD}")
-    return ExactDistribution(*_walk(ents, 2 * radius + 1), -radius, len(ents))
+    return ExactDistribution(*_walk(Counter(ents), 2 * radius + 1), -radius, len(ents))
 
 
 def rho_int(entries) -> RhoResult:
@@ -298,7 +302,7 @@ def distribution_half(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     Counts live over denominator 4^n = 2^{2n}.
     """
     check_table_size(len(v), p)
-    return ExactDistribution(*_walk(v.entries, p.p, lazy=True), 0, 2 * len(v))
+    return ExactDistribution(*_walk(v.classes, p.p, lazy=True), 0, 2 * len(v))
 
 
 def rho_half(v: ZpVector, p: PrimeModulus) -> RhoResult:

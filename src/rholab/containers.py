@@ -19,6 +19,7 @@ freezing makes reruns byte-identical).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +43,12 @@ class ContainerSet:
     def size(self) -> int:
         return len(self.members)
 
+    def outside(self, v: ZpVector) -> int:
+        """outsideCount: the number of entries of v not in members, compared raw."""
+        return sum(k for e, k in v.classes.items() if e not in self.members)
 
+
+@functools.cache
 def frozen_log_threshold(p: PrimeModulus) -> Fraction:
     """log p evaluated once in double precision, then exact thereafter."""
     return Fraction(math.log(p.p))
@@ -85,8 +91,7 @@ def lemma_contain_check(
     s = frozenset(int(k) % p.p for k in s)
     if not s <= tset:
         raise PreconditionViolated("S must be a subset of T_t(v)")
-    c = container(s, p)
-    count = sum(1 for e in v.entries if e not in c.members)
+    count = container(s, p).outside(v)
     return count, 4 * count <= n
 
 

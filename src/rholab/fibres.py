@@ -87,13 +87,8 @@ def run_fibre(
         order = sorted(live)
         vz = v.restrict(live)
         if vz.support_size < threshold:
-            return FibreTrace(
-                n=n,
-                p=p.p,
-                steps=tuple(steps),
-                k_star=len(steps),
-                terminal_support=vz.support_size,
-            )
+            return FibreTrace(n=n, p=p.p, steps=tuple(steps), k_star=len(steps),
+                              terminal_support=vz.support_size)
         try:
             cert = build_container(vz, p, profile, rng, rho_v=rho_live)
         except RetryExhausted as exc:
@@ -101,9 +96,7 @@ def run_fibre(
         except PreconditionViolated as exc:
             raise PreconditionViolated(f"step {len(steps) + 1}: {exc}") from exc
         y = frozenset(order[j] for j in cert.y)
-        x = frozenset(
-            i for i in live - y if v.entries[i] in cert.b.members
-        )
+        x = frozenset(i for i in live - y if v.entries[i] in cert.b.members)
         steps.append(FibreStep(x=x, y=y, b=cert.b, z=live))
         live = live - x
         # v restricted to Y_k is the next live vector when X_k is all of Z_k \ Y_k

@@ -17,21 +17,20 @@ passed in (the fibre iteration passes restrictions, whose ambient length is
 the live index set).
 
 B, rho(v_Y) and the measured quantities are functions of (v, Y, U) alone, and
-_certificate is the one place that derives them; B and outsideCount come
-from one helper, _contained, which both the construction and the verifier
-use.  The construction may discard an attempt on its B alone: when more than
-n/4 entries of v fall outside B the verifier would reject it, so the attempt
-is dropped before rho(v_Y) is walked (Y and U are drawn by then, so the
-random stream is the same).  Only the verifier accepts: build_container
-returns a certificate only after verify_certificate re-derives it from
-(v, Y, U) with exact arithmetic and re-tests every property, with zero trust
-in the construction path.
+_certificate is the one place that derives them; B comes from one helper,
+_contained, and outsideCount from ContainerSet.outside, which both the
+construction and the verifier use.  The construction may discard an attempt
+on its B alone: when more than n/4 entries of v fall outside B the verifier
+would reject it, so the attempt is dropped before rho(v_Y) is walked (Y and
+U are drawn by then, so the random stream is the same).  Only the verifier
+accepts: build_container returns a certificate only after verify_certificate
+re-derives it from (v, Y, U) with exact arithmetic and re-tests every
+property, with zero trust in the construction path.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -242,22 +241,22 @@ def _size_bound_holds(
     return lhs <= rhs
 
 
-def _contained(v: ZpVector, p: PrimeModulus, u) -> tuple[ContainerSet, int]:
-    """B = C(F(v_U)) and outsideCount, the number of entries of v outside B."""
-    b = container(frequency_set(v.restrict(u), p), p)
-    return b, sum(k for e, k in Counter(v.entries).items() if e not in b.members)
+def _contained(v: ZpVector, p: PrimeModulus, u) -> ContainerSet:
+    """B = C(F(v_U))."""
+    return container(frequency_set(v.restrict(u), p), p)
 
 
-def _certificate(v: ZpVector, p: PrimeModulus, y, u, contained=None) -> ContainerCertificate:
+def _certificate(v: ZpVector, p: PrimeModulus, y, u, b=None) -> ContainerCertificate:
     """The certificate (Y, U) fixes: B = C(F(v_U)), rho(v_Y) and the six
-    measured quantities, all derived from v.  contained is _contained(v, p, u)
-    when the caller has it already."""
-    b, outside = contained or _contained(v, p, u)
-    rho_vy = rho(v.restrict(y), p)
+    measured quantities, all derived from v.  b is _contained(v, p, u) when
+    the caller has it already."""
+    b = _contained(v, p, u) if b is None else b
+    vy = v.restrict(y)
+    rho_vy = rho(vy, p)
     measured = {
         "sizeY": len(y),
-        "supportVY": len(v.support & y),
-        "outsideCount": outside,
+        "supportVY": vy.support_size,
+        "outsideCount": b.outside(v),
         "sizeB": b.size,
         "rhoVY": rho_vy.value,
         "supportV": v.support_size,
@@ -299,16 +298,16 @@ def build_container(
             f"rho(v) = {rv.value} below floor {profile.rho_floor(p)}"
         )
     levels = _levels(v, p, profile)
-    last = None  # the verifier's failures, or (Y, U, B and outsideCount) if discarded
+    last = None  # the verifier's failures, or (Y, U, B) if discarded
     dropped = 0  # attempts discarded on outsideCount
     for _ in range(profile.max_attempts):
         y = sample_Y_with_attempts(v, p, profile, levels, rng)[0]
         u = sample_U_with_attempts(v, p, profile, levels, rng)[0]
-        contained = _contained(v, p, u)
-        if 4 * contained[1] > len(v):
-            last, dropped = (y, u, contained), dropped + 1
+        b = _contained(v, p, u)
+        if 4 * b.outside(v) > len(v):
+            last, dropped = (y, u, b), dropped + 1
             continue
-        cert = _certificate(v, p, y, u, contained)
+        cert = _certificate(v, p, y, u, b)
         ok, last = verify_certificate(v, p, profile, cert)
         if ok:
             return cert

@@ -310,7 +310,7 @@ def _float_bareiss(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     """Float64 x mod p in place, by subtracting p times the integer nearest
-    to x/p as rounded, to |x| <= p/2 + 2, exactly while |x| < 2^53."""
+    to x/p as rounded, to |x| <= p/2 + 2, exactly while |x| < 2^52."""
     q = np.rint(x * (1.0 / p))
     q *= p
     x -= q
@@ -367,8 +367,8 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     The entries are float64 and the prime p is below 2^26 (GuardExceeded
     otherwise), so a reduced residue is at most p/2 + 2 and each product
     l_i a_0j is below 2^51.  The trailing block is reduced only when one
-    more step could take an entry past 2^53, so every value is an exact
-    integer.
+    more step could take an entry to 2^52, so every value is an exact
+    integer and _reduce_mod, which needs |x| < 2^52, stays exact.
     """
     p = _prime(p)
     if p >= 2**26:
@@ -414,7 +414,7 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
         row = _reduce_mod(a[:1, 1:], p)
         col = _reduce_mod(a[1:, :1] * _inverse_mod(a[0, 0], p), p)
         a = a[1:, 1:]
-        if top + step >= 2**53:
+        if top + step >= 2**52:
             _reduce_mod(a, p)
             top = p
         a -= np.multiply(col, row, out=buf[: len(a), : len(a)])

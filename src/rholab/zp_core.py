@@ -23,9 +23,9 @@ check_table_size raises GuardExceeded instead of exhausting memory.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from functools import cached_property
 
 import numpy as np
 
@@ -110,29 +110,29 @@ def term_weight(r: int, p: PrimeModulus) -> int:
 
 @dataclass(frozen=True)
 class ZpVector:
-    """A length-n vector of canonical residues with cached support.
+    """A length-n vector of residues and the one owner of its entry multiset.
 
-    |v| (the support size) is the number of nonzero coordinates; it is the
-    quantity written next to every level-set threshold downstream.
+    classes (entry -> multiplicity) is counted on first read and kept, and
+    every reader shares it read-only: the law, weight table, support size |v|
+    and outsideCount of v.  restrict and concat return new vectors, which
+    count their own.
     """
 
     entries: tuple[int, ...]
-    support: frozenset[int] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "support", frozenset(compress(range(len(self.entries)), self.entries))
-        )
+    @cached_property
+    def classes(self) -> Counter[int]:
+        return Counter(self.entries)
 
-    @property
+    @cached_property
     def support_size(self) -> int:
-        return len(self.support)
+        return len(self.entries) - self.classes[0]
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def validate(self, p: PrimeModulus) -> "ZpVector":
-        for e in self.entries:
+        for e in self.classes:
             if not 0 <= e < p.p:
                 raise PreconditionViolated(f"entry {e} outside [0, {p.p - 1}]")
         return self
@@ -157,7 +157,7 @@ def weight_table(v: ZpVector, p: PrimeModulus) -> np.ndarray:
     """W[k] = sum_i min(k*v_i mod p, p - ...)^2 for every k in Z_p, as int64.
 
     Equal entries share a column: W[k] = sum_e mult(e) * w(k*e) over the
-    distinct entries e, so a constant vector costs one column, not n.  Each
+    classes e of v, so a constant vector costs one column, not n.  Each
     distinct entry is reduced mod p in Python ints before any array product,
     so any int entry (negative, or past 2^63) weighs as its residue.  The
     table is symmetric, W[p - k] = W[k] because ||-x|| = ||x||, so only the
@@ -169,14 +169,13 @@ def weight_table(v: ZpVector, p: PrimeModulus) -> np.ndarray:
     """
     check_table_size(len(v), p)
     q = p.p
-    classes = Counter(v.entries)
     dtype = np.int32 if (q // 2) * (q - 1) < 2**31 else np.int64
-    residues = np.array([e % q for e in classes], dtype)
+    residues = np.array([e % q for e in v.classes], dtype)
     r = np.multiply.outer(np.arange(q // 2 + 1, dtype=dtype), residues)
     r %= q
     np.minimum(r, q - r, out=r)
     r *= r
-    half = r @ np.fromiter(classes.values(), np.int64, len(classes))
+    half = r @ np.fromiter(v.classes.values(), np.int64, len(v.classes))
     return np.concatenate((half, half[:0:-1]))
 
 

@@ -3,6 +3,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,7 +66,7 @@ def _dp_reference(entries, m, lazy=False):
 
 def _walk_counts(entries, m, lazy):
     """The kernel's walk over Z_m as an atom -> count dict, zero atoms omitted."""
-    return ac.ExactDistribution(*ac._walk(entries, m, lazy), 0, 0).counts
+    return ac.ExactDistribution(*ac._walk(Counter(entries), m, lazy), 0, 0).counts
 
 
 def _lattice_reference(entries):
@@ -240,12 +241,23 @@ def _max_over_counts(d):
     ((3, 5, 8, 40, 77) * 24, 101, False, 4),  # packed limbs of exactly 16 bytes
     (tuple(range(1, 129)), 1009, True, 9),    # lazy n = 128 mod 1009: 36-byte limbs on planes
     ((1, 2) * 100 + (7,) * 150, 101, True, 22),  # planes after a binomial row join
+    ((5,) * 1024, 101, False, 33),            # constant laws: one row left after two digits,
+    ((5,) * 384, 101, True, 25),              # the lazy one's at atom 0,
+    ((5,) * 1023, 101, False, 32),            # and at odd n two equal rows +-a after one
 ])
 def test_max_atom_reads_the_digits_like_the_counts(entries, p, lazy, digits):
-    assert ac._walk(entries, p, lazy)[0].shape[1] == digits
+    assert ac._walk(Counter(entries), p, lazy)[0].shape[1] == digits
     law = ac.distribution_half if lazy else ac.distribution_zp
     d = law(ZpVector(entries), PrimeModulus(p))
     assert ac._max_atom(d) == _max_over_counts(d)
+
+
+def test_max_atom_reads_lower_digits_when_two_rows_tie_on_top():
+    # two rows that agree on the top digit but not below it: the comparison
+    # goes on past the two-row stop (walk laws are symmetric, a built one need not be)
+    digits = np.array([[0, 1], [5, 1], [7, 0]], "<u4")
+    d = ac.ExactDistribution(digits, 0, 0, 40)
+    assert ac._max_atom(d) == _max_over_counts(d) == ac.RhoResult(1, 5 + 2**32, 40)
 
 
 def test_max_atom_lattice_tie_goes_to_the_smallest_atom():

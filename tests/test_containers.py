@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rholab.containers import (
+    ContainerSet,
     container,
     frequency_set,
     frozen_log_threshold,
@@ -97,6 +98,17 @@ def test_container_size_bound_random():
         s = frozenset(int(x) for x in g.choice(61, size=size, replace=False))
         c = container(s, p)
         assert c.size * len(s) <= 4 * 61
+
+
+@pytest.mark.parametrize("entries", [
+    (), (0,) * 5, (0, 3, 3, 101, 104, -3, 7, 0), (3,) * 40 + (97,) * 9 + (2**64 + 3,),
+])
+def test_outside_count_is_the_per_entry_count(entries):
+    # entries are compared raw: 101, 104, -3 and 2^64 + 3 are not their residues
+    c = ContainerSet(frozenset({0, 1}), frozenset({0, 3, 7}))
+    v = ZpVector(entries)
+    assert c.outside(v) == sum(1 for e in entries if e not in c.members)
+    assert container(set(), P7).outside(ZpVector((1, 6, 7))) == 1  # C(empty) = Z_7, 7 is raw
 
 
 def test_lemma_contain_zero_frequency_set():

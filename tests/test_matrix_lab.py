@@ -190,6 +190,50 @@ def test_batch_rank_either_side_of_the_float64_bound(p):
                 assert ml.batch_rank_mod_p(mats, p).tolist() == [ml.rank_mod_p(m, p) for m in mats]
 
 
+def test_reduce_mod_is_exact_below_2_52():
+    p = _largest_batch_prime()
+    assert p == 2**26 - 5
+    top = np.concatenate((np.arange(2**52 - 3 * p, 2**52, 211), np.arange(2**52 - 10**5, 2**52)))
+    for x in (top, -top):
+        y = ml._reduce_mod(x.astype(np.float64), p)
+        assert (y == np.rint(y)).all() and (np.abs(y) <= p // 2 + 2).all()
+        assert ((x - y.astype(np.int64)) % p == 0).all()
+    # within p/2 of 2^53 the product q p rounds: this x does not reduce to x mod p
+    x = 9007199247739155
+    assert 2**52 < x < 2**53 and (x - int(ml._reduce_mod(np.array([float(x)]), 67104361)[0])) % 67104361
+
+
+def _growing_lu(n, p):
+    """L U mod p with unit diagonals, L = 1/2 below and U = -1/2 above: every
+    elimination step has pivot 1, column 1/2 and row -1/2, centred to
+    -(p - 1)/2 and (p - 1)/2, so each trailing entry grows by ((p - 1)/2)^2
+    per step until it is reduced: the kernel's worst case."""
+    h = pow(2, -1, p)
+    lo = [[1 if i == j else h if i > j else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else p - h if i < j else 0 for j in range(n)] for i in range(n)]
+    return [[sum(lo[i][k] * up[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+
+
+def test_batch_rank_keeps_every_reduction_below_2_52(monkeypatch):
+    # at the largest prime the trailing block nears 2^52 every few steps,
+    # so n >= 12 forces reductions; each value reduced must stay below 2^52
+    p, real, seen = _largest_batch_prime(), ml._reduce_mod, []
+
+    def spy(x, q):
+        seen.append(float(np.abs(x).max(initial=0)))
+        return real(x, q)
+
+    monkeypatch.setattr(ml, "_reduce_mod", spy)
+    for n in (12, 13, 20, 31):
+        g = substream(52, "batch-2^52", n)
+        full = g.integers(-(2**40), 2**40, size=(20, n, n))
+        low = np.array([_low_rank_symmetric(g, n, p) for _ in range(20)])
+        grow = np.array([_growing_lu(n, p)], dtype=np.int64)
+        for mats in (full, low, grow):
+            assert ml.batch_rank_mod_p(mats, p).tolist() == [ml.rank_mod_p(m, p) for m in mats]
+    assert 2**51 < max(seen) < 2**52
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 101, ml._BLOCK_PRIME, 2**20 + 7, 2**25 + 35, 2**26 - 5])
 def test_inverse_mod(p):
     x = np.unique(np.linspace(1, p - 1, 300).astype(np.int64))

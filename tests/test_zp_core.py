@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_level_mask_matches_cross_multiplication(w, t, p):
 def test_zp_vector_support_and_restrict():
     v = ZpVector((0, 3, 0, 2, 1))
     assert len(v) == 5
-    assert v.support == frozenset({1, 3, 4})
+    assert v.classes == {0: 2, 3: 1, 2: 1, 1: 1}
     assert v.support_size == 3
     assert v.restrict({1, 3}).entries == (3, 2)
     assert len(v.concat(v)) == 10
@@ -105,9 +106,35 @@ def test_zp_vector_support_and_restrict():
 
 def test_restrict_empty_and_single_index():
     v = ZpVector((0, 3, 0, 2, 1))
-    assert v.restrict(set()) == ZpVector(()) and v.restrict(set()).support == frozenset()
-    assert v.restrict({3}).entries == (2,) and v.restrict({3}).support == frozenset({0})
+    empty = v.restrict(set())
+    assert empty == ZpVector(()) and empty.classes == {} and empty.support_size == 0
+    one = v.restrict({3})
+    assert one.entries == (2,) and one.classes == {2: 1} and one.support_size == 1
     assert v.restrict(frozenset({2})).support_size == 0
+
+
+@pytest.mark.parametrize("entries", [(), (0,), (0, 0), (5, 0, 5, 101, -5, 5), (7,) * 300])
+def test_zp_vector_classes_are_counted_once_per_vector(entries):
+    v = ZpVector(entries)
+    assert v.classes == Counter(entries)
+    assert v.classes is v.classes  # a second read returns the cached count
+    assert v.support_size == sum(1 for e in entries if e != 0)
+    # a restriction or concatenation is a new vector that counts its own classes
+    half = v.restrict(range(0, len(entries), 2))
+    assert half.classes == Counter(entries[::2]) and half.classes is not v.classes
+    both = v.concat(ZpVector((0, 9)))
+    assert both.classes == Counter(entries + (0, 9)) and both.classes is not v.classes
+    assert both.support_size == v.support_size + 1
+    # the cache is not a field: equality and hashing still read the entries alone
+    assert v == ZpVector(entries) and hash(v) == hash(ZpVector(entries))
+
+
+def test_validate_checks_each_distinct_entry():
+    p = PrimeModulus(101)
+    assert ZpVector((100, 0) * 50).validate(p).classes == {100: 50, 0: 50}
+    for bad in ((5,) * 10 + (101,), (-1, 3), (3,) * 7 + (2**64,)):
+        with pytest.raises(PreconditionViolated, match="outside"):
+            ZpVector(bad).validate(p)
 
 
 def test_weight_table_reduces_entries_before_any_product():
