@@ -10,42 +10,35 @@ exactly: atom counts are big integers over the implicit denominator 2^n
 comparison between two such probabilities is an integer comparison; no atom
 probability is ever a float.
 
-One kernel, `_walk`, builds all three laws from entry -> multiplicity
-counts (a vector's classes; the walk counts no entries itself).  It holds
-the law over Z_m as one Python int with one byte-aligned limb per residue
-(Kronecker substitution), so the count of residue j is the j-th limb.
-Limbs never carry: each is wider than log2 of the count total, and at least
-doubles in width (one byte-level repack) whenever that total outgrows it.
-A step by +-e multiplies by x^e + x^-e = x^-e (1 + x^2e) mod x^m - 1, which
-is one shift, one add and a fold of the high limbs onto the low ones; the
-x^-e factors add up to one offset applied on unpacking.  A lazy step,
-x^e + 2 + x^-e = x^-e (1 + x^e)^2, is two steps by x^e.  Classes of equal
-+-e are taken largest first.  While the law is still one atom, a class of
-k >= _BLOCK entries joins in one go: the law becomes the binomial row of
-(1 + x^2e)^k (lazy: (1 + x^e)^2k) times that atom's count, packed, with each
-C(j, i) = C(j, j - i) computed once for both ends of the row; against a law
-of many atoms the product with that row costs more than the k steps.  The
-lattice walk over Z is the walk over Z_m for m = 2R + 1, R = Sum |v_i|: it
-never leaves [-R, R], so nothing wraps.
+One kernel, `_walk`, builds every law from entry -> multiplicity counts (a
+vector's classes; the walk counts no entries itself), and the law has one
+representation: an (m, K) array of 32-bit digits, little end first, whose
+row a is the count of residue a of Z_m.  A step by +-e multiplies the law
+by x^e + x^-e = x^-e (1 + x^2e) mod x^m - 1.  The x^-e factors add up to a
+known offset, so the walk starts its one atom at row -Sum k e mod m, over
+the classes of k entries +-e; each step then adds to the law itself moved
+by d = 2e rows, two contiguous row ranges of uint64 digit planes:
+b[d:] = a[d:] + a[:m-d] and the wrapped b[:d] = a[:d] + a[m-d:].  A carry
+pass every 30 steps keeps every digit below 2^63, and K at least doubles
+whenever the count total outgrows it.  Classes are taken largest first, so
+only the largest can meet the start law while it is still one atom; if it
+has k >= _BLOCK entries it joins in one go as the binomial row of
+(1 + x^2e)^k times that atom's count, each C(k, i) = C(k, k - i) computed
+once for both ends of the row.  A walk with no single step left (a
+constant vector) never goes through the planes.  The lattice walk over Z
+is the walk over Z_m for m = 2R + 1, R = Sum |v_i|: it never leaves
+[-R, R], so nothing wraps.
 
-The single steps run on one of two representations, chosen once per walk by
-the final law size m * cap (cap = the limb bytes of the final count total).
-Below _PLANE_BYTES (4 KB) they run on the packed int as above.  From there
-on, where the packed int's passes over the whole law dominate (dense
-vectors mod 1009, n >> p), they run on uint64 digit planes: the packed
-limbs, each split into 32-bit words, become the rows of an (m, K) array, and
-a step by d adds two contiguous row ranges, b[d:] = a[d:] + a[:m-d] and the
-wrapped b[:d] = a[:d] + a[m-d:].  A carry pass every 30 steps keeps every
-word below 2^63, and K at least doubles whenever the count total outgrows
-it.  A walk with no single step (a constant vector) stays packed.
+The lazy walk needs no mode of its own.  Its step x^e + 2 + x^-e is
+x^-e (1 + x^e)^2, so with x -> x^2 its law is the plain law of v (+) v, the
+multiset of v with every multiplicity doubled: the lazy count of a is the
+plain count of 2a, a bijection on atoms for odd p.
 
-Both representations end as one (m, K) array of 32-bit digits, one row per
-residue (the packed limbs padded to whole digits), plus the offset, and
-that is the law: `ExactDistribution` is the frozen record (digits, shift,
-lo, log2_denominator).  `_max_atom` reads the largest atom off the digits,
-comparing rows from the top digit down, so that only the winning row
-becomes an int; `ExactDistribution.counts` turns every row into an int,
-one `int.from_bytes` each, on every read.
+`ExactDistribution` is the frozen record (digits, lo, log2_denominator).
+`_max_atom` reads the largest atom off the digits, comparing rows from the
+top digit down, so that only the winning row becomes an int;
+`ExactDistribution.counts` turns every row into an int, one
+`int.from_bytes` each, on every read.
 
 The bound side (Halasz chain) is evaluated in doubles from exact level-set
 cardinalities.  All three bounds read one weight table W(k), k in Z_p;
@@ -71,13 +64,11 @@ from .zp_core import TABLE_CELL_GUARD
 FLOAT_SLACK = 1e-12
 
 _SUMSET_P_GUARD = 10**4
-# A class of +-e at least this large joins a one-atom law as one binomial row;
-# below it per-step shifts are faster (crossover near 100 for constant vectors mod 101).
-_BLOCK = 100
-# Final law size m * cap (bytes) from which `_walk` steps on digit planes instead
-# of the packed int.  Random vectors cross over between 3.0 and 3.6 KB
-# (p = 101..2003, n = 16..256, plain and lazy).
-_PLANE_BYTES = 4096
+# The largest class of +-e joins the one-atom start law as one binomial row
+# from this many entries on.  One class alone, the row is faster than single
+# plane steps from 4 entries at p = 101 and always at p = 5, but only from
+# about 40 at p = 1009, where the m-long row costs about 100 us.
+_BLOCK = 16
 # Steps between carry passes on the planes: 2^33 * 2^30 < 2^63.
 _CARRY_EVERY = 30
 _DIGIT_BITS = np.uint64(32)
@@ -89,14 +80,13 @@ class ExactDistribution:
     """Exact law of a signed sum over 2^log2_denominator, as the walk leaves it.
 
     digits is an (m, K) array of 32-bit digits, little end first, one row per
-    residue of Z_m: the count of atom lo + j is row (lo + j + shift) mod m.
-    Atoms are canonical residues for the Z_p walk (lo = 0) and plain integers
-    for the lattice walk.  Counts always sum to the full denominator.  Two
-    laws are equal when their counts and denominators are.
+    residue of Z_m: the count of atom a is row a mod m.  Atoms are canonical
+    residues for the Z_p walk (lo = 0) and the integers lo .. lo + m - 1 for
+    the lattice walk.  Counts always sum to the full denominator.  Two laws
+    are equal when their counts and denominators are.
     """
 
     digits: np.ndarray
-    shift: int
     lo: int
     log2_denominator: int
 
@@ -104,7 +94,7 @@ class ExactDistribution:
     def counts(self) -> dict[int, int]:
         """atom -> count in atom order, zero atoms omitted: one int.from_bytes per row."""
         w = 4 * self.digits.shape[1]
-        raw = np.roll(self.digits, -(self.lo + self.shift), axis=0).tobytes()
+        raw = np.roll(self.digits, -self.lo, axis=0).tobytes()
         rows = [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
         return {self.lo + j: c for j, c in enumerate(rows) if c}
 
@@ -134,7 +124,7 @@ class RhoResult:
 def _max_atom(dist: ExactDistribution) -> RhoResult:
     """The largest atom: rows compared from the top digit down, ties to the smallest
     atom; one row left, or two equal ones (a pair +-a), settles it early."""
-    digits, shift, lo = dist.digits, dist.shift, dist.lo
+    digits, lo = dist.digits, dist.lo
     m, k = digits.shape
     best = np.arange(m)
     for t in range(k - 1, -1, -1):
@@ -142,9 +132,9 @@ def _max_atom(dist: ExactDistribution) -> RhoResult:
         best = best[col == col.max()]
         if len(best) == 1 or len(best) == 2 and (digits[best[0], :t] == digits[best[1], :t]).all():
             break
-    j = int(((best - lo - shift) % m).min())
-    count = int.from_bytes(digits[(lo + j + shift) % m].tobytes(), "little")
-    return RhoResult(lo + j, count, dist.log2_denominator)
+    atom = lo + int(((best - lo) % m).min())
+    count = int.from_bytes(digits[atom % m].tobytes(), "little")
+    return RhoResult(atom, count, dist.log2_denominator)
 
 
 def _limb_digits(raw: bytes, m: int, w: int) -> np.ndarray:
@@ -154,48 +144,27 @@ def _limb_digits(raw: bytes, m: int, w: int) -> np.ndarray:
     return limbs.view("<u4")
 
 
-def _widen(law: int, m: int, w: int, w2: int) -> int:
-    """Repack m limbs of w bytes into limbs of w2 >= w bytes."""
-    raw, buf = law.to_bytes(m * w, "little"), bytearray(m * w2)
-    for t in range(w):
-        buf[t::w2] = raw[t::w]
-    return int.from_bytes(buf, "little")
+def _plane_steps(a: np.ndarray, total: int, cap: int, moves) -> np.ndarray:
+    """Multiply the law a, an (m, K) array of 32-bit digits, one row per residue,
+    by 1 + x^d mod x^m - 1 for each d in moves; with no move a comes back as it is.
 
-
-def _packed_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> np.ndarray:
-    """Multiply the packed law by 1 + x^d mod x^m - 1 for each d in moves.
-
-    total is log2 of the count total so far and cap the final limb width.
-    Returns the law as an (m, K) array of 32-bit digits.
+    total is log2 of a's count total and cap the digits of the final one.
+    The steps run on uint64 digits; a step adds two contiguous row ranges.  A
+    step at most doubles a digit, so a carry pass every _CARRY_EVERY steps,
+    which leaves each digit below 2^32 + 2^31, keeps all of them below 2^63.
+    K at least doubles whenever the count total outgrows it, and the top
+    digit never carries out: it is at most a count (<= 2^total < 2^32K) over
+    2^(32 (K - 1)).
     """
-    full = (1 << 8 * w * m) - 1
-    for d in moves:
-        total += 1
-        if total >= 8 * w:
-            w2 = min(cap, max(2 * w, total // 8 + 1))
-            law, w, full = _widen(law, m, w, w2), w2, (1 << 8 * w2 * m) - 1
-        law += law << 8 * w * d
-        law = (law & full) + (law >> 8 * w * m)
-    return _limb_digits(law.to_bytes(m * w, "little"), m, w)
-
-
-def _plane_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> np.ndarray:
-    """`_packed_steps` on an (m, K) uint64 array of 32-bit digits, one row per residue.
-
-    The packed limbs, widened to K 32-bit words, are the rows; a step adds two
-    contiguous row ranges.  A step at most doubles a digit, so a carry pass
-    every _CARRY_EVERY steps, which leaves each digit below 2^32 + 2^31, keeps
-    all of them below 2^63.  K at least doubles whenever the count total
-    outgrows it, and the top digit never carries out: it is at most a count
-    (<= 2^total < 2^32K) over 2^(32 (K - 1)).
-    """
-    a = _limb_digits(law.to_bytes(m * w, "little"), m, w).astype(np.uint64)
-    k = a.shape[1]
+    if not moves:
+        return a
+    m, k = a.shape
+    a = a.astype(np.uint64)
     b = np.empty_like(a)
     for i, d in enumerate(moves):
         total += 1
         if total >= 32 * k:
-            k = min(-(-cap // 4), max(2 * k, total // 32 + 1))
+            k = min(cap, max(2 * k, total // 32 + 1))
             a = np.concatenate((a, np.zeros((m, k - a.shape[1]), np.uint64)), axis=1)
             b = np.empty_like(a)
         if i and i % _CARRY_EVERY == 0:
@@ -211,53 +180,51 @@ def _plane_steps(law: int, m: int, w: int, total: int, cap: int, moves) -> np.nd
     return a.astype("<u4")
 
 
-def _walk(counts, m: int, lazy: bool = False) -> tuple[np.ndarray, int]:
-    """The (lazy) signed-sum walk over Z_m of entry -> multiplicity counts, as (digits, shift).
+def _walk(counts, m: int) -> np.ndarray:
+    """The signed-sum walk over Z_m of entry -> multiplicity counts: an (m, K)
+    array of 32-bit digits, little end first, whose row a is the count of residue a.
 
-    digits is an (m, K) array of 32-bit digits, little end first; the count
-    of residue a is row (a + shift) mod m.  Each distinct entry is reduced
-    mod m and folded to its class +-e once, so any int entry (negative, or
-    not reduced) steps as its residue.
+    Each distinct entry is reduced mod m and folded to its class +-e once, so
+    any int entry (negative, or not reduced) steps as its residue.  The start
+    atom sits at row -Sum k e, where the x^-e factor of every step puts it;
+    the largest class joins it as one binomial row if it has at least
+    _BLOCK entries, and every other entry is one step by d = 2e.
     """
-    steps = 2 if lazy else 1
     classes: Counter[int] = Counter()  # e -> number of entries +-e
     for e, k in counts.items():
         r = e % m
         classes[min(r, m - r)] += k
-    cap = steps * sum(classes.values()) // 8 + 1  # limb bytes for the final total
-    total = steps * classes.pop(0, 0)  # log2 of the count total so far
-    law, offset, w = 1 << total, 0, total // 8 + 1
-    moves: list[int] = []  # the shift d of every single step, in order
-    for e, k in classes.most_common():
-        d, j = (e, 2 * k) if lazy else (2 * e, k)
-        offset += k * e
-        if k < _BLOCK or law >> 8 * w:
-            moves += [d] * j
-            continue
-        total += j
-        if total >= 8 * w:
-            w = min(cap, max(2 * w, total // 8 + 1))
-        row, c = [0] * m, law  # the one atom's count times C(j, i) = C(j, j - i)
+    cap = sum(classes.values()) // 32 + 1  # digits for the final count total
+    total = classes.pop(0, 0)  # log2 of the count total so far
+    order = classes.most_common()
+    start = -sum(k * e for e, k in order) % m
+    if order and order[0][1] >= _BLOCK:
+        e, j = order.pop(0)
+        c, total = 1 << total, total + j  # the one atom's count times C(j, i) = C(j, j - i)
+        w, row = total // 8 + 1, [0] * m
         for i in range(j // 2 + 1):
-            row[i * d % m] += c
+            row[(start + 2 * e * i) % m] += c
             if 2 * i < j:
-                row[(j - i) * d % m] += c
+                row[(start + 2 * e * (j - i)) % m] += c
             c = c * (j - i) // (i + 1)
-        law = int.from_bytes(b"".join(r.to_bytes(w, "little") for r in row), "little")
-    steps_on = _plane_steps if moves and m * cap >= _PLANE_BYTES else _packed_steps
-    return steps_on(law, m, w, total, cap, moves), offset % m
+        raw = b"".join(r.to_bytes(w, "little") for r in row)
+    else:
+        w = total // 8 + 1
+        raw = (1 << total << 8 * w * start).to_bytes(m * w, "little")
+    moves = [2 * e for e, k in order for _ in range(k)]  # the shift d of every single step
+    return _plane_steps(_limb_digits(raw, m, w), total, cap, moves)
 
 
 def distribution_zp(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     """Exact law of u . v over Z_p; the empty vector gives the point mass at 0."""
     check_table_size(len(v), p)
-    return ExactDistribution(*_walk(v.classes, p.p), 0, len(v))
+    return ExactDistribution(_walk(v.classes, p.p), 0, len(v))
 
 
 def distribution_zp_bruteforce(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     """Independent oracle: enumerate all 2^n sign vectors (n <= 24).
 
-    Kept free of the packed kernel on purpose; acceptance checks compare
+    Kept free of the walk kernel on purpose; acceptance checks compare
     the two atom-for-atom.  Every count is at most 2^24, so one 32-bit
     digit per residue holds it.
     """
@@ -273,7 +240,7 @@ def distribution_zp_bruteforce(v: ZpVector, p: PrimeModulus) -> ExactDistributio
         counts[s % p.p] += 1
     col = np.zeros((p.p, 1), "<u4")
     col[list(counts), 0] = list(counts.values())
-    return ExactDistribution(col, 0, 0, n)
+    return ExactDistribution(col, 0, n)
 
 
 def rho(v: ZpVector, p: PrimeModulus) -> RhoResult:
@@ -288,7 +255,7 @@ def distribution_int(entries) -> ExactDistribution:
     cells = (2 * radius + 1) * max(len(ents), 1)
     if cells > TABLE_CELL_GUARD:
         raise RangeTooLarge(f"lattice table (2R+1) * n = {cells} exceeds the guard {TABLE_CELL_GUARD}")
-    return ExactDistribution(*_walk(Counter(ents), 2 * radius + 1), -radius, len(ents))
+    return ExactDistribution(_walk(Counter(ents), 2 * radius + 1), -radius, len(ents))
 
 
 def rho_int(entries) -> RhoResult:
@@ -299,22 +266,24 @@ def rho_int(entries) -> RhoResult:
 def distribution_half(v: ZpVector, p: PrimeModulus) -> ExactDistribution:
     """Law of the lazy walk: step 0 w.p. 1/2, +-v_i w.p. 1/4 each.
 
-    Counts live over denominator 4^n = 2^{2n}.
+    Counts live over denominator 4^n = 2^{2n}.  The walk is the plain one of
+    v (+) v (every multiplicity doubled), whose row 2a mod p is atom a.
     """
     check_table_size(len(v), p)
-    return ExactDistribution(*_walk(v.classes, p.p, lazy=True), 0, 2 * len(v))
+    doubled = _walk({e: 2 * k for e, k in v.classes.items()}, p.p)
+    return ExactDistribution(doubled[np.arange(0, 2 * p.p, 2) % p.p], 0, 2 * len(v))
 
 
 def rho_half(v: ZpVector, p: PrimeModulus) -> RhoResult:
-    """Lazy-walk concentration; equals rho(v (+) v) as a value.
+    """Lazy-walk concentration, read off `distribution_half`; equals rho(v (+) v)
+    as a value.
 
-    (Equality is of maxima, not maximizers: the doubled walk is the lazy walk
-    dilated by 2 mod p, a bijection on atoms.)  For odd prime p it is always
-    atom 0 with count Sum_b P(b)^2 over 4^n, P the plain law's counts: the
-    lazy law at a is (P * P)(2a), and as P is symmetric that is
-    Sum_b P(b) P(b - 2a), which Cauchy-Schwarz maximises only at 2a = 0
-    (equality at 2a != 0 would make P uniform on Z_p, but p does not divide
-    its total 2^n).
+    (Equality is of maxima, not maximizers: the lazy law is the doubled walk
+    read at 2a, a bijection on atoms.)  For odd prime p it is always atom 0
+    with count Sum_b P(b)^2 over 4^n, P the plain law's counts: the lazy law
+    at a is (P * P)(2a), and as P is symmetric that is Sum_b P(b) P(b - 2a),
+    which Cauchy-Schwarz maximises only at 2a = 0 (equality at 2a != 0 would
+    make P uniform on Z_p, but p does not divide its total 2^n).
     """
     return _max_atom(distribution_half(v, p))
 

@@ -28,10 +28,12 @@ determinant det_exact is an independent cross-check of Bareiss, not part of
 the count.
 
 Number formats: per-matrix work (determinants, ranks, RREF, inverses,
-adjugates, identity checks) reads every entry with int() into Python ints,
-held in numpy object arrays where a matmul reads better; it is exact for
-every prime PrimeModulus accepts and needs no guard.  A plain-int modulus
-must be prime (PreconditionViolated otherwise).  batch_rank_mod_p works in
+adjugates, identity checks) reads every entry into a Python int, held in
+numpy object arrays where a matmul reads better; it is exact for every
+prime PrimeModulus accepts and needs no guard.  Every reader, batched or
+not, takes an integral float as the integer it is, of any size, and raises
+PreconditionViolated on 2.5, NaN or an infinity.  A plain-int modulus must
+be prime (PreconditionViolated otherwise).  batch_rank_mod_p works in
 float64 only, for primes below 2^26 (GuardExceeded otherwise), keeping
 every value an integer below 2^53.  odlyzko_check's sign-vector reduction
 and _solution_counts work in int64 and raise GuardExceeded before a value
@@ -88,10 +90,26 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 # ---------------------------------------------------------------------------
 
 
+def _int(x) -> int:
+    """A matrix entry as a Python int: PreconditionViolated unless it is an
+    integer (an integral float is; 2.5, NaN and the infinities are not)."""
+    try:
+        if (i := int(x)) == x:
+            return i
+    except (ValueError, OverflowError):
+        pass
+    raise PreconditionViolated(f"matrix entry {x!r} is not an integer")
+
+
+def _int_rows(mat) -> list[list[int]]:
+    """The rows of a matrix as lists of Python ints; an array's through tolist."""
+    return [[_int(x) for x in row] for row in (mat.tolist() if isinstance(mat, np.ndarray) else mat)]
+
+
 def _square_ints(mat) -> list[list[int]]:
     """The entries of a square matrix as Python ints (PreconditionViolated
-    unless square; 0 x 0 is square)."""
-    a = [[int(x) for x in row] for row in mat]
+    unless square, 0 x 0 included, with integer entries)."""
+    a = _int_rows(mat)
     n = len(a)
     if any(len(row) != n for row in a) or isinstance(mat, np.ndarray) and mat.shape != (n, n):
         raise PreconditionViolated("matrix must be square")
@@ -155,7 +173,7 @@ def _rref(a: list[list[int]], p: int) -> tuple[list[int], int]:
 
 
 def _residues(mat, p: int) -> list[list[int]]:
-    return [[int(x) % p for x in row] for row in mat]
+    return [[x % p for x in row] for row in _int_rows(mat)]
 
 
 def _det_mod(mat, p: int) -> int:
@@ -364,26 +382,34 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     are reduced first, and the first row and column are dropped.  A matrix
     whose trailing block is zero has its rank and leaves the batch.
 
-    The entries are float64 and the prime p is below 2^26 (GuardExceeded
-    otherwise), so a reduced residue is at most p/2 + 2 and each product
-    l_i a_0j is below 2^51.  The trailing block is reduced only when one
-    more step could take an entry to 2^52, so every value is an exact
-    integer and _reduce_mod, which needs |x| < 2^52, stays exact.
+    Entries must be integers, as in rank_mod_p.  A float batch below 2^52
+    is reduced in float64 as it is, an int one in int64, and anything else
+    (objects, uint64, larger floats) as exact Python ints.  The prime p is
+    below 2^26 (GuardExceeded otherwise), so a reduced residue is at most
+    p/2 + 2 and each product l_i a_0j is below 2^51.  The trailing block is
+    reduced only when one more step could take an entry to 2^52, so every
+    value is an exact integer and _reduce_mod, which needs |x| < 2^52,
+    stays exact.
     """
     p = _prime(p)
     if p >= 2**26:
         raise GuardExceeded("batch_rank_mod_p runs in float64 and needs p < 2^26")
     # rank_mod_p accepts entries past int64: keep a nested list's big ints
     # exact as objects (np.asarray would make them float64), and reduce
-    # object or uint64 entries before the int64 cast overflows or wraps them.
+    # object or uint64 entries, NaN, the infinities and floats past 2^52 one
+    # by one, before the int64 cast overflows or wraps them.
     a = np.asarray(mats, dtype=None if isinstance(mats, np.ndarray) else object)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise PreconditionViolated("mats must have shape (B, n, n)")
-    if a.dtype in (object, np.uint64):
-        a = a % p
-    a = np.asarray(a, dtype=np.int64) % p
+    if a.dtype in (object, np.uint64) or a.dtype.kind == "f" and not (np.abs(a) < 2**52).all():
+        a = np.frompyfunc(lambda x: _int(x) % p, 1, 1)(a)
     b, n, _ = a.shape
-    a = np.ascontiguousarray(a.transpose(1, 2, 0), dtype=np.float64)
+    if a.dtype.kind == "f":
+        if (np.trunc(a) != a).any():
+            raise PreconditionViolated("batch_rank_mod_p needs integer entries")
+        a = _reduce_mod(np.array(a.transpose(1, 2, 0), dtype=np.float64, order="C"), p)
+    else:
+        a = np.ascontiguousarray((np.asarray(a, dtype=np.int64) % p).transpose(1, 2, 0), dtype=np.float64)
     step = (p // 2 + 2) ** 2
     top = p  # bound on |entry|: p right after a reduction, + step per step
     buf = np.empty_like(a)
@@ -536,7 +562,7 @@ def _sub_batch_singular(n: int, bits: np.ndarray, pos: np.ndarray) -> int:
     flagged, t = _float_bareiss(_switched_complement(bits, pos).astype(np.float32))
     if n <= _FLOAT_STEPS + 2:
         return int(flagged.size)
-    t = t.transpose(2, 0, 1).astype(np.int64)
+    t = t.transpose(2, 0, 1)
     suspects = np.flatnonzero(batch_rank_mod_p(t, _BLOCK_PRIME) < n - 1 - _FLOAT_STEPS)
     return int(flagged.size) + sum(1 for i in suspects if det_bareiss(t[i]) == 0)
 

@@ -56,7 +56,7 @@ def test_distribution_total_and_oracle(p, data):
 
 
 def _dp_reference(entries, m, lazy=False):
-    """Per-residue list DP of the (lazy) walk over Z_m, independent of the packed kernel."""
+    """Per-residue list DP of the (lazy) walk over Z_m, independent of the walk kernel."""
     counts = [1] + [0] * (m - 1)
     for e in entries:
         counts = [(2 * counts[j] if lazy else 0) + counts[(j - e) % m] + counts[(j + e) % m]
@@ -65,8 +65,12 @@ def _dp_reference(entries, m, lazy=False):
 
 
 def _walk_counts(entries, m, lazy):
-    """The kernel's walk over Z_m as an atom -> count dict, zero atoms omitted."""
-    return ac.ExactDistribution(*ac._walk(Counter(entries), m, lazy), 0, 0).counts
+    """The kernel's walk over Z_m as an atom -> count dict, zero atoms omitted.  The
+    lazy law is the walk of the doubled multiset read at row 2a (m odd)."""
+    if not lazy:
+        return ac.ExactDistribution(ac._walk(Counter(entries), m), 0, 0).counts
+    digits = ac._walk(Counter(list(entries) * 2), m)
+    return ac.ExactDistribution(digits[2 * np.arange(m) % m], 0, 0).counts
 
 
 def _lattice_reference(entries):
@@ -116,7 +120,7 @@ def test_walks_match_references(case):
 
 @pytest.mark.parametrize("entries", [
     (), (0,), (0, 0, 3), (3, 98, 3), (3, 98, 0, 101, -3, 205),
-    (7,) * 99, (7,) * 100, (7,) * 101, (7,) * 100 + (94,) * 101 + (0, 5, 96),
+    (7,) * (ac._BLOCK - 1), (7,) * ac._BLOCK, (7,) * (ac._BLOCK + 1), (7,) * 100 + (94,) * 101 + (0, 5, 96),
 ])
 def test_walks_edge_cases(entries):
     """Empty and zero entries, e and p - e in one class, classes around the block
@@ -130,11 +134,12 @@ def test_walks_edge_cases(entries):
     assert ac.distribution_int(small).counts == _lattice_reference(small)
 
 
-@pytest.mark.parametrize("j", [99, 100, 101, 1024])
+@pytest.mark.parametrize("j", [ac._BLOCK - 1, ac._BLOCK, ac._BLOCK + 1, 99, 100, 101, 1024])
 def test_one_class_join_against_the_list_dp(j):
     """j equal entries alone: single steps below _BLOCK, one binomial row from
-    it on, whose two ends C(j, i) = C(j, j - i) share one coefficient (odd and
-    even rows, and a row that wraps mod m)."""
+    it on (the lazy walk's doubled class joins from _BLOCK / 2), whose two ends
+    C(j, i) = C(j, j - i) share one coefficient (odd and even rows, and a row
+    that wraps mod m)."""
     for m, e in ((101, 7), (101, 50), (5, 2)):
         for lazy in (False, True):
             got = _walk_counts((e,) * j, m, lazy)
@@ -157,9 +162,9 @@ def plane_moves(monkeypatch):
     """The number of steps of each walk that ran on digit planes."""
     seen, real = [], ac._plane_steps
 
-    def spy(law, m, w, total, cap, moves):
+    def spy(a, total, cap, moves):
         seen.append(len(moves))
-        return real(law, m, w, total, cap, moves)
+        return real(a, total, cap, moves)
 
     monkeypatch.setattr(ac, "_plane_steps", spy)
     return seen
@@ -168,19 +173,19 @@ def plane_moves(monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_walk_kernel_tiny_moduli(m, monkeypatch):
     # PrimeModulus admits p > 3 only, so the moduli below reach the kernel
-    # directly; at m = 2 a plain step by 1 shifts by d = m.  Each runs packed
-    # and, where it takes a single step, on planes.
-    for plane_bytes in (10**12, 0):
-        monkeypatch.setattr(ac, "_PLANE_BYTES", plane_bytes)
+    # directly; at m = 2 a step by 1 shifts by d = m.  Each walk runs in
+    # single steps and with its largest class joined as one binomial row.
+    for block in (10**9, 1):
+        monkeypatch.setattr(ac, "_BLOCK", block)
         for entries in [(), (0,), (1,), (1, 2), (1, 1, 2, 5), (1,) * 99, (1,) * 101, (2,) * 120 + (1,) * 7]:
-            for lazy in (False, True):
-                got = _walk_counts(entries, m, lazy)
-                assert got == _dp_reference(entries, m, lazy)
+            assert _walk_counts(entries, m, False) == _dp_reference(entries, m)
 
 
-@pytest.mark.parametrize("plane_bytes", [0, ac._PLANE_BYTES, 10**12], ids=["planes", "default", "packed"])
-def test_walk_on_each_side_of_the_switch(plane_bytes, monkeypatch):
-    monkeypatch.setattr(ac, "_PLANE_BYTES", plane_bytes)
+@pytest.mark.parametrize("block", [10**9, ac._BLOCK, 1], ids=["planes", "default", "join"])
+def test_walk_on_each_side_of_the_switch(block, monkeypatch):
+    # every class in single plane steps, the default, and the largest class
+    # always joined as one binomial row
+    monkeypatch.setattr(ac, "_BLOCK", block)
     for i in range(30):
         g = substream(17, "switch", i)
         m = int(g.choice([5, 7, 101, 1009]))
@@ -194,20 +199,18 @@ def test_walk_on_each_side_of_the_switch(plane_bytes, monkeypatch):
         assert ac.distribution_int(small).counts == _lattice_reference(small)
 
 
-def test_planes_after_a_binomial_row_join(monkeypatch, plane_moves):
-    monkeypatch.setattr(ac, "_PLANE_BYTES", 0)
+def test_planes_after_a_binomial_row_join(plane_moves):
     entries = (7,) * 150 + (1, 2, 5, 9, 99)
     assert ac.distribution_zp(ZpVector(entries), P101).counts == _dp_reference(entries, 101)
     assert ac.distribution_half(ZpVector(entries), P101).counts == _dp_reference(entries, 101, True)
-    assert plane_moves == [5, 10]  # the class of 7 joined before the switch
+    assert plane_moves == [5, 10]  # the class of 7 joined before the steps
 
 
 @pytest.mark.parametrize("steps", [30, 31])
-def test_planes_around_the_carry_pass(monkeypatch, plane_moves, steps):
+def test_planes_around_the_carry_pass(plane_moves, steps):
     # after the join every digit of the law is a full 32-bit word; the first
     # carry pass comes before step _CARRY_EVERY + 1
     assert ac._CARRY_EVERY == 30
-    monkeypatch.setattr(ac, "_PLANE_BYTES", 0)
     entries = (3,) * 150 + tuple(range(4, 4 + steps))
     assert ac.distribution_zp(ZpVector(entries), P101).counts == _dp_reference(entries, 101)
     lazy = entries[:150 + (steps + 1) // 2]  # two steps per entry
@@ -216,17 +219,26 @@ def test_planes_around_the_carry_pass(monkeypatch, plane_moves, steps):
 
 
 def test_walk_with_n_much_larger_than_p(plane_moves):
-    # n / p = 20, the regime the planes are for: on a 2-vCPU x86-64 VM both
-    # walks took 0.15 s on the packed int and 0.03 s on the planes
+    # n / p = 20: on a 2-vCPU x86-64 VM both walks take 0.03-0.05 s; the
+    # largest class, 53 entries +-31, joins as one binomial row
     entries = [int(x) for x in substream(18, "n>>p", 0).integers(1, 101, size=2000)]
     v = ZpVector(tuple(entries))
     t0 = time.perf_counter()
     plain, lazy = ac.distribution_zp(v, P101), ac.distribution_half(v, P101)
     elapsed = time.perf_counter() - t0
-    assert plane_moves == [2000, 4000]
+    assert plane_moves == [2000 - 53, 4000 - 2 * 53]
     assert plain.counts == _dp_reference(entries, 101)
     assert lazy.counts == _dp_reference(entries, 101, True)
     assert elapsed < 0.5, f"both walks took {elapsed:.3f} s, budget 0.5 s"
+
+
+def test_walk_starts_a_wide_atom_at_its_final_row(plane_moves):
+    # the zeros make the start atom 2^70, three digits wide, and it starts at
+    # row -(3 + 5) = 93, where the x^-3 and x^-5 factors of the two steps put it
+    entries = (0,) * 70 + (3, 5)
+    d = ac.distribution_zp(ZpVector(entries), P101)
+    assert d.counts == _dp_reference(entries, 101)
+    assert d.digits.shape[1] == 3 and plane_moves == [2]
 
 
 def _max_over_counts(d):
@@ -236,17 +248,17 @@ def _max_over_counts(d):
 
 
 @pytest.mark.parametrize("entries, p, lazy, digits", [
-    ((), 101, False, 1),                      # the empty vector: one 1-byte limb per atom
-    ((3, 5, 8, 40) * 14, 101, False, 2),      # packed limbs of exactly 8 bytes
-    ((3, 5, 8, 40, 77) * 24, 101, False, 4),  # packed limbs of exactly 16 bytes
-    (tuple(range(1, 129)), 1009, True, 9),    # lazy n = 128 mod 1009: 36-byte limbs on planes
+    ((), 101, False, 1),                      # the empty vector: one digit per atom
+    ((3, 5, 8, 40) * 14, 101, False, 2),      # exactly 64 bits per row
+    ((3, 5, 8, 40, 77) * 24, 101, False, 4),  # exactly 128 bits per row
+    (tuple(range(1, 129)), 1009, True, 9),    # lazy n = 128 mod 1009: 256 steps
     ((1, 2) * 100 + (7,) * 150, 101, True, 22),  # planes after a binomial row join
     ((5,) * 1024, 101, False, 33),            # constant laws: one row left after two digits,
     ((5,) * 384, 101, True, 25),              # the lazy one's at atom 0,
     ((5,) * 1023, 101, False, 32),            # and at odd n two equal rows +-a after one
 ])
 def test_max_atom_reads_the_digits_like_the_counts(entries, p, lazy, digits):
-    assert ac._walk(Counter(entries), p, lazy)[0].shape[1] == digits
+    assert ac._walk(Counter(entries * 2 if lazy else entries), p).shape[1] == digits
     law = ac.distribution_half if lazy else ac.distribution_zp
     d = law(ZpVector(entries), PrimeModulus(p))
     assert ac._max_atom(d) == _max_over_counts(d)
@@ -256,7 +268,7 @@ def test_max_atom_reads_lower_digits_when_two_rows_tie_on_top():
     # two rows that agree on the top digit but not below it: the comparison
     # goes on past the two-row stop (walk laws are symmetric, a built one need not be)
     digits = np.array([[0, 1], [5, 1], [7, 0]], "<u4")
-    d = ac.ExactDistribution(digits, 0, 0, 40)
+    d = ac.ExactDistribution(digits, 0, 40)
     assert ac._max_atom(d) == _max_over_counts(d) == ac.RhoResult(1, 5 + 2**32, 40)
 
 
@@ -264,9 +276,9 @@ def test_max_atom_lattice_tie_goes_to_the_smallest_atom():
     d = ac.distribution_int((1, 2))
     assert d.counts == {-3: 1, -1: 1, 1: 1, 3: 1}
     assert ac._max_atom(d) == ac.rho_int((1, 2)) == ac.RhoResult(-3, 1, 2)
-    # a Z_p tie that wraps: the shift puts atom 4 = -1 in row 0 and atom 1 in row 2
+    # a Z_p tie between atoms 1 and 4 = -1, each in the row of its residue
     d = ac.distribution_zp(ZpVector((1,)), P5)
-    assert (d.counts, d.shift) == ({1: 1, 4: 1}, 1)
+    assert (d.counts, d.digits[:, 0].tolist()) == ({1: 1, 4: 1}, [0, 1, 0, 0, 1])
     assert ac._max_atom(d) == ac.rho(ZpVector((1,)), P5) == ac.RhoResult(1, 1, 1)
 
 

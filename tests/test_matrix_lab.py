@@ -164,6 +164,45 @@ def test_batch_rank_reduces_entries_past_int64(big):
             assert int(ml.batch_rank_mod_p(np.array([a], dtype=object), p)[0]) == ml.rank_mod_p(a, p)
 
 
+def test_batch_rank_reads_float64_as_exact_integers():
+    # 5 * 2^62 is an exact float and a multiple of 5; an int64 cast would wrap it
+    x = 5 * 2.0**62
+    assert ml.batch_rank_mod_p(np.array([[[x]]]), 5).tolist() == [ml.rank_mod_p([[x]], 5)] == [0]
+    a = np.array([[[x, 1.0], [1.0, 1.0]], [[2.0**51 + 3, 2.0], [-7.0, 4.0]]])
+    assert ml.batch_rank_mod_p(a, 5).tolist() == [ml.rank_mod_p(m, 5) for m in a] == [2, 2]
+    for bad in (0.5, float("nan"), float("inf"), 2.0**51 + 0.5):
+        with pytest.raises(PreconditionViolated, match="integer"):
+            ml.batch_rank_mod_p(np.array([[[1.0, bad], [bad, 1.0]]]), 5)
+        with pytest.raises(PreconditionViolated, match="integer"):
+            ml.batch_rank_mod_p([[[1.0, bad], [bad, 1.0]]], 5)
+
+
+def test_batch_rank_leaves_a_float64_view_as_it_was():
+    # the Monte Carlo trailing blocks arrive as a (B, n, n) view of a
+    # batch-innermost (n, n, B) array, which the Bareiss confirmation reads after
+    g = substream(52, "batch-float-view", 0)
+    inner = g.integers(-(2**40), 2**40, size=(5, 5, 40)).astype(np.float64)
+    kept = inner.copy()
+    mats = inner.transpose(2, 0, 1)
+    p = ml._BLOCK_PRIME
+    assert ml.batch_rank_mod_p(mats, p).tolist() == [ml.rank_mod_p(m, p) for m in mats]
+    assert (inner == kept).all()
+
+
+def test_per_matrix_readers_reject_non_integer_entries():
+    for bad in (2.5, float("nan"), float("inf"), np.float64(0.5)):
+        mat = [[bad, 1], [1, 1]]
+        for read in (ml.det_bareiss, ml.det_exact, lambda m: ml.rank_mod_p(m, 5),
+                     lambda m: ml.rref_mod_p(m, 5), lambda m: ml.inverse_mod_p(m, P5)):
+            with pytest.raises(PreconditionViolated, match="integer"):
+                read(mat)
+            with pytest.raises(PreconditionViolated, match="integer"):
+                read(np.array(mat, dtype=np.float64))
+    # integral floats are integers, read exactly past 2^53
+    assert ml.det_bareiss([[2.0, 1], [1, 1.0]]) == ml.det_exact(np.array([[2.0, 1], [1, 1]])) == 1
+    assert ml.rank_mod_p([[5 * 2.0**62]], 5) == 0
+
+
 def test_batch_rank_reduces_uint64_and_keeps_small_dtypes():
     a = [[2**63, 1], [1, 1]]
     assert int(ml.batch_rank_mod_p(np.array([a], dtype=np.uint64), 5)[0]) == ml.rank_mod_p(a, 5) == 2
@@ -516,6 +555,7 @@ def test_float_stage_takes_thirteen_exact_steps(monkeypatch):
 
     def spy(mats, p):
         seen.append((mats.shape, mats.dtype, int(np.abs(mats).max(initial=0))))
+        assert (np.trunc(mats) == mats).all()
         return real(mats, p)
 
     monkeypatch.setattr(ml, "batch_rank_mod_p", spy)
@@ -524,8 +564,9 @@ def test_float_stage_takes_thirteen_exact_steps(monkeypatch):
     assert seen == []  # n <= 15: the float stage decides every matrix
     ml.singular_count_block(20, _planted_bits(20, 60))
     (shape, dtype, top), = seen
-    # order-14 0/1 minors: at most 15^(15/2) / 2^14 by Hadamard's bound
-    assert shape[1:] == (6, 6) and dtype == np.int64 and top**2 * 4**14 <= 15**15
+    # order-14 0/1 minors, handed over as the float64 integers the float stage
+    # left: at most 15^(15/2) / 2^14 by Hadamard's bound
+    assert shape[1:] == (6, 6) and dtype == np.float64 and top**2 * 4**14 <= 15**15
 
 
 @pytest.mark.parametrize(
