@@ -35,8 +35,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import EntryRangeError, VectorParseError
-from .zp_core import PrimeModulus, ZpVector, is_prime_u64
+from .errors import EntryRangeError, PreconditionViolated, VectorParseError
+from .zp_core import PrimeModulus, ZpVector
 
 
 def parse_vector_line(line: str, line_no: int) -> tuple[PrimeModulus, ZpVector]:
@@ -50,9 +50,10 @@ def parse_vector_line(line: str, line_no: int) -> tuple[PrimeModulus, ZpVector]:
         p_val = int(head[2:])
     except ValueError:
         raise VectorParseError(line_no, f"modulus {head[2:]!r} is not an integer")
-    if p_val <= 3 or not is_prime_u64(p_val):
-        raise VectorParseError(line_no, f"modulus {p_val} is not a prime > 3")
-    p = PrimeModulus(p_val)
+    try:
+        p = PrimeModulus(p_val)
+    except PreconditionViolated as err:
+        raise VectorParseError(line_no, str(err))
     entries = []
     for tok in tail.split():
         try:

@@ -35,11 +35,11 @@ not, takes an integral float as the integer it is, of any size, and raises
 PreconditionViolated on 2.5, NaN or an infinity.  A plain-int modulus must
 be prime (PreconditionViolated otherwise).  batch_rank_mod_p works in
 float64 only, for primes below 2^26 (GuardExceeded otherwise), keeping
-every value an integer below 2^53.  odlyzko_check's sign-vector reduction
-and _solution_counts work in int64 and raise GuardExceeded before a value
-could reach 2^63.  The float elimination holds integers below 2^53 by
-the bound above, which rests on 0/1 entries of B: singular_count_block
-rejects bits outside {0, 1}.
+every value an integer below 2^53.  odlyzko_check's span product (entries
+at most k(p - 1) + 1 for k basis rows) and _solution_counts work in int64
+and raise GuardExceeded before a value could reach 2^63.  The float
+elimination holds integers below 2^53 by the bound above, which rests on
+0/1 entries of B: singular_count_block rejects bits outside {0, 1}.
 """
 
 from __future__ import annotations
@@ -489,15 +489,16 @@ def _switching_chunks(n: int):
     return _sym_chunks(n, fixed=n)
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials <= 0:
         raise PreconditionViolated("trials must be positive")
     if not 0 <= successes <= trials:
         raise PreconditionViolated("successes must lie in [0, trials]")
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    z2 = WILSON_Z * WILSON_Z
+    denom = 1.0 + z2 / trials
+    center = (phat + z2 / (2 * trials)) / denom
+    half = WILSON_Z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -717,33 +718,29 @@ def block_probability_exact(
 def odlyzko_check(basis, n: int, p: PrimeModulus) -> tuple[int, bool]:
     """Count sign vectors inside span(basis) over F_p; at most 2^|basis|.
 
-    The basis rows must have length n (PreconditionViolated otherwise) and
-    be independent (DependentBasis otherwise).  Membership is
-    decided by reducing every x in {-1,1}^n against the basis RREF in int64,
-    whose products stay below 2^63 while (p - 1) p < 2^63 (GuardExceeded
-    otherwise).
+    n >= 0 and the k basis rows, of length n (PreconditionViolated
+    otherwise), must be independent (DependentBasis otherwise).  Each row of
+    the RREF R is 1 at its own pivot and 0 at the others, so x in {-1,1}^n
+    is in the span iff x = x[pivots] R mod p: one int64 product, with
+    |x[pivots] R - x| <= k(p - 1) + 1 < 2^63 (k >= 1 here, as p is an
+    operand too; GuardExceeded otherwise).
     """
+    if n < 0:
+        raise PreconditionViolated(f"n must be >= 0, got {n}")
     if n > _ODLYZKO_GUARD:
         raise GuardExceeded(f"guard is n <= {_ODLYZKO_GUARD}")
-    if (p.p - 1) * p.p >= 2**63:
-        raise GuardExceeded("odlyzko_check needs (p - 1) p < 2^63 for int64 products")
     basis = list(basis)
+    k = len(basis)
+    if max(k, 1) * (p.p - 1) + 1 >= 2**63:
+        raise GuardExceeded("odlyzko_check needs k(p - 1) + 1 < 2^63 for its int64 product")
     if any(len(row) != n for row in basis):
         raise PreconditionViolated("basis rows must have length n")
     rref, pivots = rref_mod_p(basis, p)
-    k = len(rref)
-    if k == 0:
-        return 0, True
     if len(pivots) < k:
         raise DependentBasis("claimed basis is dependent over F_p")
-    # reduce all sign vectors at once
-    signs = ((np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1
-    x = signs % p.p
-    r = np.array(rref, dtype=np.int64)
-    for row_i, col in enumerate(pivots):
-        coef = x[:, col].copy()
-        x = (x - coef[:, None] * r[row_i][None, :]) % p.p
-    count = int((x == 0).all(axis=1).sum())
+    signs = ((np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1) * 2 - 1
+    r = np.array(rref, dtype=np.int64).reshape(k, n)
+    count = int(((signs[:, pivots] @ r - signs) % p.p == 0).all(axis=1).sum())
     return count, count <= (1 << k)
 
 
@@ -856,26 +853,23 @@ def decoupling_probability_check(px: dict, py: dict, event) -> bool:
     """Verify Pr(E)^4 <= Pr(E(X,Y) & E(X',Y) & E(X,Y') & E(X',Y')) exactly.
 
     px, py: value -> Fraction probability (independent X, Y with finite
-    supports); event: predicate on (x, y).  Enumeration over the four
-    independent copies, all arithmetic in Fractions.
+    supports); event: predicate on (x, y), read once per pair.  Given X and
+    X', the copies Y and Y' are independent, so the four-copy probability is
+    sum over x, x' of p(x) p(x') c(x, x')^2 with c(x, x') = Pr_Y(E(x, Y) &
+    E(x', Y)); all arithmetic in Fractions.
     """
     if len(px) > _DECOUPLE_SUPPORT_GUARD or len(py) > _DECOUPLE_SUPPORT_GUARD:
         raise GuardExceeded("support guard exceeded")
     for d in (px, py):
         if sum(d.values()) != 1:
             raise PreconditionViolated("probabilities must sum to 1")
-    pr_e = sum(
-        pxv * pyv for x, pxv in px.items() for y, pyv in py.items() if event(x, y)
+    rows = [(pxv, [event(x, y) for y in py]) for x, pxv in px.items()]
+    pr_e = sum(pxv * pyv for pxv, row in rows for pyv, e in zip(py.values(), row) if e)
+    pr_four = sum(
+        pxv * pxv2 * sum(pyv for pyv, e, e2 in zip(py.values(), row, row2) if e and e2) ** 2
+        for pxv, row in rows
+        for pxv2, row2 in rows
     )
-    pr_four = Fraction(0)
-    for x, pxv in px.items():
-        for x2, pxv2 in px.items():
-            for y, pyv in py.items():
-                if not (event(x, y) and event(x2, y)):
-                    continue
-                for y2, pyv2 in py.items():
-                    if event(x, y2) and event(x2, y2):
-                        pr_four += pxv * pxv2 * pyv * pyv2
     return pr_e**4 <= pr_four
 
 

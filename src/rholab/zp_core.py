@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import GuardExceeded, PreconditionViolated
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24,
-# which covers every 64-bit input.
+# Miller-Rabin witnesses: the first 12 primes decide every n below
+# psi_12 = 318665857834031151167461 (about 3.2 * 10^23), so every n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Cap on p * max(n, 1) for tables over Z_p: a weight table of that many
@@ -41,10 +41,13 @@ TABLE_CELL_GUARD = 10**7
 
 
 def is_prime_u64(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2^64."""
+    """Deterministic primality test for n < 2^64 (PreconditionViolated
+    from 2^64 on; the witnesses stop deciding at psi_12)."""
+    if n >= 2**64:
+        raise PreconditionViolated(f"primality is decided only below 2^64, got {n}")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1

@@ -284,10 +284,11 @@ def test_vectors_file_missing_exits_2(capsys):
 
 def test_malformed_vector_file_exits_2(tmp_path, capsys):
     vf = tmp_path / "v.txt"
-    vf.write_text("p=7; 1 oops\n")
-    code, _, err = run(capsys, ["rho", "--vectors", str(vf)])
-    assert code == 2
-    assert "line 1" in err
+    for text in ("p=7; 1 oops\n", "p=318665857834031151167461; 1 2\n"):
+        vf.write_text(text)
+        code, _, err = run(capsys, ["rho", "--vectors", str(vf)])
+        assert code == 2
+        assert "line 1" in err
 
 
 def test_unknown_profile_exits_2(capsys):

@@ -47,8 +47,11 @@ def test_load_vectors_range_error(tmp_path):
 
 
 def test_parse_rejects_composite_modulus():
-    with pytest.raises(VectorParseError):
-        parse_vector_line("p=9; 1 2", 1)
+    # psi_12 is composite but passes Miller-Rabin at witnesses 2..37
+    for p in (9, 318665857834031151167461):
+        with pytest.raises(VectorParseError, match="line 3"):
+            parse_vector_line(f"p={p}; 1 2", 3)
+    assert parse_vector_line(f"p={2**64 - 59}; 1 2", 1)[0].p == 2**64 - 59
 
 
 def test_write_csv_and_json_deterministic(tmp_path):

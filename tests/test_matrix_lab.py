@@ -303,6 +303,10 @@ def test_plain_int_moduli_must_be_prime():
             ml.batch_rank_mod_p([a], p)
     for p in (2, 3):
         assert ml.batch_rank_mod_p([a], p).tolist() == [ml.rank_mod_p(a, p)]
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin at witnesses
+    # 2..37, the end of the domain where primality is decided
+    with pytest.raises(PreconditionViolated, match="2\\^64"):
+        ml.rank_mod_p(a, 318665857834031151167461)
     assert ml.rank_mod_p(a, 2) == 1 and ml.rank_mod_p(a, 3) == 2
 
 
@@ -747,21 +751,61 @@ def test_odlyzko_examples():
     assert count == 2 and holds
     count, holds = ml.odlyzko_check([], 3, P5)
     assert count == 0 and holds
-    with pytest.raises(DependentBasis):
-        ml.odlyzko_check([(1, 2), (2, 4)], 2, P5)
+    # the empty sign vector is the zero vector of F_p^0, inside every span
+    assert ml.odlyzko_check([], 0, P5) == (1, True)
+    for basis in ([], [()]):
+        with pytest.raises(PreconditionViolated):
+            ml.odlyzko_check(basis, -1, P5)
+    for basis, n in (([(1, 2), (2, 4)], 2), ([()], 0)):
+        with pytest.raises(DependentBasis):
+            ml.odlyzko_check(basis, n, P5)
 
 
 def test_odlyzko_int64_guard():
-    # span{(1, -1)} holds both (1, -1) and (-1, 1); int64 reduction at
-    # p ~ 2^40 overflowed and counted only one of them
-    with pytest.raises(GuardExceeded):
-        ml.odlyzko_check([(1, -1)], 2, next_prime(2**40))
-    p = math.isqrt(2**63)
-    while not ((p - 1) * p < 2**63 and is_prime_u64(p)):
-        p -= 1
-    assert ml.odlyzko_check([(1, p - 1)], 2, PrimeModulus(p)) == (2, True)
-    with pytest.raises(GuardExceeded):
-        ml.odlyzko_check([(1, p - 1)], 2, next_prime(p + 1))
+    # span{(1, -1)} holds both (1, -1) and (-1, 1); an int64 value that
+    # overflowed would count only one of them
+    p = math.isqrt(2**63) + 1
+    for q in (next_prime(2**40), next_prime(p)):
+        assert ml.odlyzko_check([(1, -1)], 2, q) == (2, True)
+    # k(p - 1) + 1 < 2^63 is the guard: k = 1 reaches the largest prime
+    # below 2^63, k = 2 only about 2^62, and k = 0 still needs p < 2^63
+    p63 = 2**63 - 25
+    assert is_prime_u64(p63)
+    assert ml.odlyzko_check([(1, p63 - 1)], 2, PrimeModulus(p63)) == (2, True)
+    p62 = 2**62 + 1
+    while not (2 * (p62 - 1) + 1 < 2**63 and is_prime_u64(p62)):
+        p62 -= 1
+    basis = [(1, 0, p62 - 1), (0, 1, p62 - 1)]
+    assert ml.odlyzko_check(basis, 3, PrimeModulus(p62)) == (_span_count(basis, 3, p62), True)
+    for basis, n, q in (
+        ([(1, -1)], 2, PrimeModulus(P64)),
+        ([(1, 0, 1), (0, 1, 1)], 3, next_prime(p62 + 1)),
+        ([], 2, PrimeModulus(P64)),
+    ):
+        with pytest.raises(GuardExceeded):
+            ml.odlyzko_check(basis, n, q)
+
+
+def _span_count(basis, n, p):
+    """Sign vectors x with rank(basis + [x]) = |basis|: brute-force membership."""
+    return sum(ml.rank_mod_p(list(basis) + [x], p) == len(basis) for x in product((-1, 1), repeat=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_odlyzko_matches_brute_force_membership(data):
+    p = data.draw(st.sampled_from([5, 7, 11, 101, 2**31 - 1]))
+    n = data.draw(st.integers(0, 8))
+    k = data.draw(st.integers(0, n))
+    # entries 0 and +-1 make sign vectors land in the span often
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    basis = data.draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+    if ml.rank_mod_p(basis, p) < k:
+        with pytest.raises(DependentBasis):
+            ml.odlyzko_check(basis, n, PrimeModulus(p))
+        return
+    count = _span_count(basis, n, p)
+    assert ml.odlyzko_check(basis, n, PrimeModulus(p)) == (count, count <= 2**k)
 
 
 def test_odlyzko_rejects_rows_of_the_wrong_length():
@@ -894,6 +938,33 @@ def test_decoupling_probability_random_events():
         px = {x: Fraction(1, 4) for x in range(4)}
         py = {y: Fraction(1, 4) for y in range(4)}
         assert ml.decoupling_probability_check(px, py, lambda x, y: bool(table[x][y]))
+
+
+def test_decoupling_probability_matches_four_copy_enumeration():
+    # Summing over Y and Y' first is a polynomial identity in the weights, so
+    # it must agree with the literal four-copy sum for signed weights too,
+    # where Pr(E)^4 <= Pr(four copies) can fail and the answer discriminates.
+    rng = random.Random(2028)
+
+    def law(size):
+        w = [Fraction(rng.randint(-4, 9), rng.randint(1, 6)) for _ in range(size - 1)]
+        return dict(enumerate(w + [1 - sum(w)]))
+
+    answers = set()
+    for _ in range(300):
+        px, py = law(rng.randint(1, 5)), law(rng.randint(1, 5))
+        table = {(x, y): rng.random() < 0.6 for x in px for y in py}
+        event = lambda x, y: table[x, y]
+        pr_e = sum(px[x] * py[y] for x, y in table if table[x, y])
+        four = sum(
+            px[x] * px[x2] * py[y] * py[y2]
+            for x, x2 in product(px, repeat=2)
+            for y, y2 in product(py, repeat=2)
+            if event(x, y) and event(x2, y) and event(x, y2) and event(x2, y2)
+        )
+        answers.add(pr_e**4 <= four)
+        assert ml.decoupling_probability_check(px, py, event) == (pr_e**4 <= four)
+    assert answers == {True, False}
 
 
 def test_q_exact_frozen_values():

@@ -37,6 +37,16 @@ def test_primality_against_sieve():
         assert is_prime_u64(n) == (n in primes)
 
 
+def test_primality_domain_ends_at_2_64():
+    # the witnesses 2..37 decide n < psi_12 only; psi_12 is composite
+    assert is_prime_u64(2**64 - 59) and not is_prime_u64(2**64 - 1)
+    for n in (2**64, 318665857834031151167461, 2**64 + 13):
+        for call in (is_prime_u64, PrimeModulus):
+            with pytest.raises(PreconditionViolated, match="2\\^64"):
+                call(n)
+    assert PrimeModulus(2**64 - 59).p == 2**64 - 59
+
+
 def test_next_prime_examples():
     assert next_prime(4).p == 5
     assert next_prime(7).p == 7  # prime fixed point
